@@ -216,10 +216,12 @@ func realMain(o options) error {
 		return err
 	}
 	start := time.Now()
-	fmt.Printf("ibprouter: listening on %s, %d backends\n", ln.Addr(), len(backends))
-
+	// The handler goes in before the "listening on" line: a supervisor that
+	// signals as soon as it reads that line must get a drain, not a kill.
 	sigs := make(chan os.Signal, 2)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
+	fmt.Printf("ibprouter: listening on %s, %d backends\n", ln.Addr(), len(backends))
+
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- r.Serve(ln) }()
 

@@ -194,10 +194,12 @@ func realMain(o options) error {
 		return err
 	}
 	start := time.Now()
-	fmt.Printf("ibpserved: listening on %s\n", ln.Addr())
-
+	// The handler goes in before the "listening on" line: a supervisor that
+	// signals as soon as it reads that line must get a drain, not a kill.
 	sigs := make(chan os.Signal, 2)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
+	fmt.Printf("ibpserved: listening on %s\n", ln.Addr())
+
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 

@@ -294,7 +294,14 @@ func (r *Router) ListenAndServe(addr string) error {
 func (r *Router) Serve(ln net.Listener) error {
 	r.mu.Lock()
 	r.ln = ln
+	closed := r.draining.Load()
 	r.mu.Unlock()
+	if closed {
+		// Shutdown or Close ran before the listener was stored, so nothing
+		// else will ever close it.
+		ln.Close()
+		return ErrRouterClosed
+	}
 	for {
 		conn, err := ln.Accept()
 		if err != nil {

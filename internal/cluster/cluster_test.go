@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -279,6 +280,38 @@ func TestRouterFailoverLostIsHonest(t *testing.T) {
 	var we *serve.WireError
 	if !errors.As(err, &we) || we.Code != CodeFailoverLost {
 		t.Fatalf("want %s error, got %v", CodeFailoverLost, err)
+	}
+}
+
+// TestRouterShutdownBeforeServe: a Shutdown that lands before Serve has
+// stored its listener must still stop Serve, which returns ErrRouterClosed
+// and closes the listener instead of blocking in Accept forever.
+func TestRouterShutdownBeforeServe(t *testing.T) {
+	r, err := New(Config{Backends: []string{"127.0.0.1:1"}, Predictor: defaultFlags()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Shutdown(context.Background()); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	served := make(chan error, 1)
+	go func() { served <- r.Serve(ln) }()
+	select {
+	case err := <-served:
+		if !errors.Is(err, ErrRouterClosed) {
+			t.Fatalf("Serve after Shutdown = %v, want ErrRouterClosed", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Serve after Shutdown still blocked after 2s")
+	}
+	if c, err := net.DialTimeout("tcp", ln.Addr().String(), time.Second); err == nil {
+		c.Close()
+		t.Fatal("listener still accepts after Serve returned")
 	}
 }
 

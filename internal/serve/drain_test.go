@@ -2,6 +2,8 @@ package serve
 
 import (
 	"context"
+	"errors"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -118,6 +120,39 @@ func TestServeShutdownIdle(t *testing.T) {
 	}
 	if _, err := Dial(addr, Hello{}, DialOptions{Timeout: time.Second}); err == nil {
 		t.Fatal("dial succeeded after shutdown")
+	}
+}
+
+// TestServeShutdownBeforeServe: a Shutdown that lands before Serve has
+// stored its listener (a signal right after startup) must still stop Serve,
+// which returns ErrServerClosed and closes the listener instead of blocking
+// in Accept forever.
+func TestServeShutdownBeforeServe(t *testing.T) {
+	srv, err := New(Config{Predictor: defaultFlags()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Shutdown(context.Background()); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	select {
+	case err := <-served:
+		if !errors.Is(err, ErrServerClosed) {
+			t.Fatalf("Serve after Shutdown = %v, want ErrServerClosed", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Serve after Shutdown still blocked after 2s")
+	}
+	if c, err := net.DialTimeout("tcp", ln.Addr().String(), time.Second); err == nil {
+		c.Close()
+		t.Fatal("listener still accepts after Serve returned")
 	}
 }
 

@@ -188,29 +188,34 @@ func TestServeConcurrentSessions(t *testing.T) {
 func TestServePredictorOverride(t *testing.T) {
 	_, addr := startServer(t, Config{})
 	tr := benchTrace(t, "ixx", 4000)
-	over := defaultFlags()
-	over.Pred = "btb-2bc"
-	over.Table = "assoc4"
-	over.Entries = 256
-	c, err := Dial(addr, Hello{Benchmark: "ixx", Predictor: &over}, DialOptions{Timeout: 10 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	sum, err := c.Stream(tr, 500, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pred, err := over.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := sim.Run(pred, tr, sim.Options{})
-	if sum.Executed != want.Executed || sum.Misses != want.Misses {
-		t.Fatalf("override summary (%d,%d) != local sim (%d,%d)", sum.Executed, sum.Misses, want.Executed, want.Misses)
-	}
-	if sum.Predictor != pred.Name() {
-		t.Fatalf("summary predictor %q, want %q", sum.Predictor, pred.Name())
+	// btb-2bc ignores conditional records; tcache reads every one.
+	for _, name := range []string{"btb-2bc", "tcache"} {
+		t.Run(name, func(t *testing.T) {
+			over := defaultFlags()
+			over.Pred = name
+			over.Table = "assoc4"
+			over.Entries = 256
+			c, err := Dial(addr, Hello{Benchmark: "ixx", Predictor: &over}, DialOptions{Timeout: 10 * time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			sum, err := c.Stream(tr, 500, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pred, err := over.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := sim.Run(pred, tr, sim.Options{})
+			if sum.Executed != want.Executed || sum.Misses != want.Misses {
+				t.Fatalf("override summary (%d,%d) != local sim (%d,%d)", sum.Executed, sum.Misses, want.Executed, want.Misses)
+			}
+			if sum.Predictor != pred.Name() {
+				t.Fatalf("summary predictor %q, want %q", sum.Predictor, pred.Name())
+			}
+		})
 	}
 }
 
@@ -327,8 +332,7 @@ func TestServeSessionPanicIsolation(t *testing.T) {
 	// the shard worker cannot be touching the predictor.
 	for _, e := range srv.track.Live() {
 		if sess, ok := e.Conn().(*session); ok && sess.hello.Benchmark == "panicker" {
-			sess.pred = panicPredictor{}
-			sess.condObs = nil
+			sess.lane = sim.NewLane(panicPredictor{}, sim.Options{})
 		}
 	}
 

@@ -207,7 +207,14 @@ var ErrServerClosed = errors.New("serve: server closed")
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	s.ln = ln
+	closed := s.draining.Load()
 	s.mu.Unlock()
+	if closed {
+		// Shutdown or Close ran before the listener was stored, so nothing
+		// else will ever close it.
+		ln.Close()
+		return ErrServerClosed
+	}
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -311,8 +318,8 @@ func (s *Server) stopWorkers() {
 
 // run is a shard worker: it owns the predictor state of every session pinned
 // to this shard and processes their frames in arrival order. A predictor
-// panic kills the offending session only — the recover sits inside
-// session.processFrame, mirroring the sim engine's lane isolation.
+// panic kills the offending session only: the session's sim.Lane recovers
+// it and processFrame fails the session.
 func (sh *shard) run(s *Server) {
 	for j := range sh.queue {
 		s.m.queueDepth.Add(-1)
@@ -465,7 +472,6 @@ func (s *Server) openSession(conn net.Conn, fr *trace.FrameReader) (*session, er
 		Upstream:  hello.RouterSession,
 	}
 	if ts, ok := pred.(core.TableStatser); ok {
-		sess.statser = ts
 		meta.Tables = ts.TableStats() // baseline for /sessions/{id} deltas
 	}
 	entry, err := s.track.Register(sess, meta)
@@ -481,10 +487,7 @@ func (s *Server) openSession(conn net.Conn, fr *trace.FrameReader) (*session, er
 	if s.cfg.Tuner != nil && !hello.Events {
 		sess.tun = s.cfg.Tuner.Session(policy, pf, entry)
 		if sess.tun != nil {
-			if a, ok := pred.(core.Attributor); ok {
-				a.SetAttribution(true)
-				sess.attrib = a
-			}
+			sess.lane.SetObserver(sess.missObserver(pred))
 		}
 	}
 	s.m.sessionsTotal.Inc()

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,6 +12,7 @@ import (
 	"github.com/oocsb/ibp/internal/core"
 	"github.com/oocsb/ibp/internal/flight"
 	"github.com/oocsb/ibp/internal/sessiontrack"
+	"github.com/oocsb/ibp/internal/sim"
 	"github.com/oocsb/ibp/internal/trace"
 	"github.com/oocsb/ibp/internal/tuner"
 )
@@ -67,26 +67,19 @@ type session struct {
 	stop     chan struct{}
 	stopOnce sync.Once
 
-	// worker-owned: the predictor and sim-equivalent accounting
-	pred     core.Predictor
-	statser  core.TableStatser // pred's table stats view; nil when unsupported
-	condObs  core.CondObserver
-	seen     int
-	executed int
-	misses   int
-	noPred   int
-	frames   int
-	records  int
-	evBuf    []EventRec
+	// worker-owned: the predictor and its accounting, in sim's kernel, so a
+	// Summary equals sim.Run over the same records by construction
+	lane    *sim.Lane
+	frames  int
+	records int
+	evBuf   []EventRec
 
-	// tun is the session's adaptation-plane state (nil when tuning is off);
-	// attrib is pred's attribution view feeding the tuner's miss sketch.
+	// tun is the session's adaptation-plane state (nil when tuning is off).
 	// hist retains the session's record frames for the swap replay as views
 	// into block-granular arena allocations (histArena is the current fill
 	// block) — no reallocation ever copies a retained frame twice.
-	// Worker-owned like the predictor, so a hot swap needs no locks.
+	// Worker-owned like the lane, so a hot swap needs no locks.
 	tun        *tuner.SessionTuner
-	attrib     core.Attributor
 	hist       [][]byte
 	histBlocks []*histBlock
 	histArena  []byte
@@ -118,7 +111,7 @@ func newSession(s *Server, conn net.Conn, pred core.Predictor, hello Hello, wind
 		srv:      s,
 		conn:     conn,
 		hello:    hello,
-		pred:     pred,
+		lane:     sim.NewLane(pred, sim.Options{Warmup: hello.Warmup}),
 		predName: pred.Name(),
 		window:   window,
 		events:   hello.Events,
@@ -130,8 +123,31 @@ func newSession(s *Server, conn net.Conn, pred core.Predictor, hello Hello, wind
 		out:  make(chan outMsg, 2*window+8),
 		stop: make(chan struct{}),
 	}
-	sess.condObs, _ = pred.(core.CondObserver)
+	if sess.events {
+		sess.lane.SetObserver(sess.recordEvent)
+	}
 	return sess
+}
+
+// recordEvent is an events session's kernel observer: every resolved
+// indirect branch joins the current frame's events payload.
+func (sess *session) recordEvent(o sim.Outcome) {
+	sess.evBuf = append(sess.evBuf, EventRec{
+		PC:        o.PC,
+		Predicted: o.Predicted,
+		Actual:    o.Actual,
+		HasPred:   o.HasPred,
+		Miss:      o.Miss,
+		Warmup:    o.Warmup,
+	})
+}
+
+// refreshTables publishes the predictor's table stats to the session's
+// introspection entry. The read allocates, so callers amortize it.
+func (sess *session) refreshTables() {
+	if ts, ok := sess.lane.Predictor().(core.TableStatser); ok {
+		sess.track.UpdateTables(ts.TableStats())
+	}
 }
 
 // send queues a frame for the writer without ever blocking the caller (shard
@@ -382,20 +398,14 @@ func (sess *session) readLoop(fr *trace.FrameReader) {
 	}
 }
 
-// processFrame drives the session predictor straight off a RecordIter over
-// the borrowed chunk — the sim engine's exact accounting with no []Record
-// materialization — then queues the (events and) ack frames from pooled
-// payload buffers and releases the chunk's buffer. A predictor panic is
-// confined to this session, like a sim lane's.
+// processFrame steps the session's kernel straight off a RecordIter over
+// the borrowed chunk — sim's accounting with no []Record materialization —
+// then queues the (events and) ack frames from pooled payload buffers and
+// releases the chunk's buffer. A predictor panic kills the kernel, which
+// confines it to this session like a sim lane's.
 func (sess *session) processFrame(j job) {
 	seq, chunk, buf := j.seq, j.chunk, j.buf
 	defer buf.Release()
-	defer func() {
-		if r := recover(); r != nil {
-			sess.srv.m.panics.Inc()
-			sess.fail(CodePredictor, fmt.Sprintf("predictor panicked: %v\n%s", r, debug.Stack()))
-		}
-	}()
 	s := sess.srv
 	m := s.m
 	startNS := time.Now().UnixNano()
@@ -406,8 +416,8 @@ func (sess *session) processFrame(j job) {
 		sess.fail(CodeBadFrame, err.Error())
 		return
 	}
-	exec0, miss0 := sess.executed, sess.misses
-	evs := sess.evBuf[:0]
+	res0 := sess.lane.Result()
+	sess.evBuf = sess.evBuf[:0]
 	nrecs := 0
 	var batch [256]trace.Record
 	for {
@@ -416,52 +426,10 @@ func (sess *session) processFrame(j job) {
 			break
 		}
 		nrecs += bn
-		for _, r := range batch[:bn] {
-			switch {
-			case r.Kind == trace.Cond:
-				if sess.condObs != nil {
-					sess.condObs.ObserveCond(r.PC, r.Target, r.Target != 0)
-				}
-				continue
-			case !r.Kind.Indirect():
-				continue
-			}
-			pred, ok := sess.pred.Predict(r.PC)
-			sess.pred.Update(r.PC, r.Target)
-			sess.seen++
-			miss := !ok || pred != r.Target
-			if sess.events {
-				evs = append(evs, EventRec{
-					PC:        r.PC,
-					Predicted: pred,
-					Actual:    r.Target,
-					HasPred:   ok,
-					Miss:      miss,
-					Warmup:    sess.seen <= sess.hello.Warmup,
-				})
-			}
-			if sess.seen <= sess.hello.Warmup {
-				continue
-			}
-			sess.executed++
-			if miss {
-				sess.misses++
-				if !ok {
-					sess.noPred++
-				}
-				if sess.tun != nil {
-					// Feed the miss sketch — only misses are classified, so
-					// correctly predicted records pay the tuner nothing.
-					// Attribution when the predictor records it, else the
-					// bare hit bit.
-					if sess.attrib != nil {
-						at := sess.attrib.Attribution()
-						sess.tun.ObserveMiss(at.TableHit, at.AltCorrect, at.NewEntry, at.Evicted)
-					} else {
-						sess.tun.ObserveMiss(ok, false, false, false)
-					}
-				}
-			}
+		if err := sess.lane.Step(batch[:bn]); err != nil {
+			m.panics.Inc()
+			sess.fail(CodePredictor, err.Error())
+			return
 		}
 	}
 	if err := it.Err(); err != nil {
@@ -471,6 +439,8 @@ func (sess *session) processFrame(j job) {
 		sess.fail(CodeBadFrame, fmt.Sprintf("trace: records payload: %v", err))
 		return
 	}
+	res := sess.lane.Result()
+	executed, misses := res.Executed-res0.Executed, res.Misses-res0.Misses
 	sess.frames++
 	sess.records += nrecs
 	doneNS := time.Now().UnixNano()
@@ -480,30 +450,29 @@ func (sess *session) processFrame(j job) {
 	// one stats update per frame, zero allocations. The (allocating) table
 	// stats refresh is amortized to every 16th frame — the predictor is
 	// worker-owned, so only this goroutine may read it.
-	sess.track.FrameProcessed(doneNS, nrecs, sess.executed-exec0, sess.misses-miss0,
+	sess.track.FrameProcessed(doneNS, nrecs, executed, misses,
 		time.Duration(startNS-j.recvNS))
-	if sess.statser != nil && sess.frames&0xf == 0 {
-		sess.track.UpdateTables(sess.statser.TableStats())
+	if sess.frames&0xf == 0 {
+		sess.refreshTables()
 	}
 	m.predictTime.Observe(time.Duration(doneNS - startNS))
 	m.frameLatency.Observe(time.Duration(doneNS - j.recvNS))
 	m.frames.Inc()
 	m.records.Add(uint64(nrecs))
-	m.misses.Add(uint64(sess.misses - miss0))
+	m.misses.Add(uint64(misses))
 	ack := Ack{
 		Seq:               seq,
 		Records:           nrecs,
-		Executed:          sess.executed - exec0,
-		Misses:            sess.misses - miss0,
-		TotalExecuted:     sess.executed,
-		TotalMisses:       sess.misses,
-		TotalNoPrediction: sess.noPred,
+		Executed:          executed,
+		Misses:            misses,
+		TotalExecuted:     res.Executed,
+		TotalMisses:       res.Misses,
+		TotalNoPrediction: res.NoPrediction,
 	}
 	if sess.events {
 		// Worst case per event: three 5-byte varints plus the flags byte.
-		eb := s.pool.Get(16*len(evs) + 2*binary.MaxVarintLen64)
-		payload := appendEvents(eb.Bytes()[:0], seq, evs)
-		sess.evBuf = evs[:0] // keep the grown buffer for the next frame
+		eb := s.pool.Get(16*len(sess.evBuf) + 2*binary.MaxVarintLen64)
+		payload := appendEvents(eb.Bytes()[:0], seq, sess.evBuf)
 		if !sess.send(outMsg{typ: FrameEvents, payload: payload, buf: eb}) {
 			return
 		}
@@ -521,7 +490,7 @@ func (sess *session) processFrame(j job) {
 	// still carries the pre-swap totals, the next one reflects the replayed
 	// accounting.
 	if sess.tun != nil {
-		sess.tunerFrameEnd(chunk, sess.executed-exec0, sess.misses-miss0)
+		sess.tunerFrameEnd(chunk, executed, misses)
 	}
 }
 
@@ -538,15 +507,16 @@ func (sess *session) emitSummary(drained bool) {
 	// The Done/drain job is the last the worker runs for this session, so
 	// its retained tuner history can be recycled here, on the owning worker.
 	sess.dropHistory()
+	res := sess.lane.Result()
 	sum := Summary{
 		Session:      sess.id,
 		Benchmark:    sess.hello.Benchmark,
 		Predictor:    sess.predName,
 		Frames:       sess.frames,
 		Records:      sess.records,
-		Executed:     sess.executed,
-		Misses:       sess.misses,
-		NoPrediction: sess.noPred,
+		Executed:     res.Executed,
+		Misses:       res.Misses,
+		NoPrediction: res.NoPrediction,
 		Warmup:       sess.hello.Warmup,
 		Drained:      drained,
 	}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"github.com/oocsb/ibp/internal/core"
+	"github.com/oocsb/ibp/internal/sim"
 	"github.com/oocsb/ibp/internal/trace"
 	"github.com/oocsb/ibp/internal/tuner"
 )
@@ -57,33 +58,30 @@ func (sess *session) tunerFrameEnd(chunk []byte, executed, misses int) {
 	}
 }
 
-// applySwap builds the decision's target predictor, replays the retained
-// history through it with from-scratch accounting, and installs it as the
-// session's predictor. On any failure the session keeps its current
-// predictor and the tuner stops (SwapFailed) — never a half-applied swap.
+// applySwap builds the decision's target predictor, steps the retained
+// history through a fresh sim kernel and installs that kernel whole as the
+// session's. On any failure — a bad retained frame or a predictor panic in
+// the replay — the session keeps its current kernel and the tuner stops
+// (SwapFailed): never a half-applied swap.
 func (sess *session) applySwap(d *tuner.Decision) {
 	pred, err := d.Target.Build()
 	if err != nil {
 		// Unreachable in practice: policy targets are build-checked at
 		// parse time. Guarded anyway — a swap must be all or nothing.
-		sess.tun.SwapFailed()
-		sess.srv.cfg.Log.Warn("tuner swap failed", "session", sess.id, "err", err)
+		sess.swapFailed(err)
 		return
 	}
-	condObs, _ := pred.(core.CondObserver)
-	var attrib core.Attributor
-	if a, ok := pred.(core.Attributor); ok {
-		a.SetAttribution(true)
-		attrib = a
-	}
-	seen, executed, misses, noPred := 0, 0, 0, 0
+	// Attribution is switched on before the replay, as it is for a session
+	// that starts on this predictor; the miss observer joins after it, since
+	// the replayed branches are not new evidence for the tuner.
+	observe := sess.missObserver(pred)
+	lane := sim.NewLane(pred, sim.Options{Warmup: sess.hello.Warmup})
 	replayed := 0
 	var batch [256]trace.Record
 	for _, frame := range sess.hist {
 		it, err := trace.NewRecordIter(frame, sess.srv.cfg.MaxFrameRecords)
 		if err != nil {
-			sess.tun.SwapFailed()
-			sess.srv.cfg.Log.Warn("tuner swap replay failed", "session", sess.id, "err", err)
+			sess.swapFailed(err)
 			return
 		}
 		for {
@@ -92,55 +90,53 @@ func (sess *session) applySwap(d *tuner.Decision) {
 				break
 			}
 			replayed += bn
-			for _, r := range batch[:bn] {
-				switch {
-				case r.Kind == trace.Cond:
-					if condObs != nil {
-						condObs.ObserveCond(r.PC, r.Target, r.Target != 0)
-					}
-					continue
-				case !r.Kind.Indirect():
-					continue
-				}
-				p, ok := pred.Predict(r.PC)
-				pred.Update(r.PC, r.Target)
-				seen++
-				if seen <= sess.hello.Warmup {
-					continue
-				}
-				executed++
-				if !ok || p != r.Target {
-					misses++
-					if !ok {
-						noPred++
-					}
-				}
+			if err := lane.Step(batch[:bn]); err != nil {
+				sess.swapFailed(err)
+				return
 			}
 		}
 		if err := it.Err(); err != nil {
-			sess.tun.SwapFailed()
-			sess.srv.cfg.Log.Warn("tuner swap replay failed", "session", sess.id, "err", err)
+			sess.swapFailed(err)
 			return
 		}
 	}
-	sess.pred = pred
-	sess.condObs = condObs
-	sess.attrib = attrib
-	sess.statser, _ = pred.(core.TableStatser)
+	lane.SetObserver(observe)
+	sess.lane = lane
 	sess.predName = pred.Name()
-	sess.seen, sess.executed, sess.misses, sess.noPred = seen, executed, misses, noPred
 	sess.tun.SwapApplied(d, sess.predName, replayed)
-	if sess.statser != nil {
-		sess.track.UpdateTables(sess.statser.TableStats())
-	}
+	sess.refreshTables()
 	sess.srv.cfg.Log.Info("tuner swap", "session", sess.id, "predictor", sess.predName,
 		"escalate", d.Escalate, "reason", d.Reason, "replayedRecords", replayed,
-		"missRate", missRatePct(misses, executed))
+		"missRate", lane.Result().MissRate())
 }
 
-func missRatePct(misses, executed int) float64 {
-	if executed == 0 {
-		return 0
+// swapFailed stops the session's tuner after a swap that could not be
+// applied.
+func (sess *session) swapFailed(err error) {
+	sess.tun.SwapFailed()
+	sess.srv.cfg.Log.Warn("tuner swap failed", "session", sess.id, "err", err)
+}
+
+// missObserver returns the kernel observer feeding the tuner's miss sketch
+// from pred's counted misses, switching pred's attribution recording on
+// when it has one. Only misses are classified, so a correctly predicted
+// branch costs the tuner a call and a compare. Attribution when the
+// predictor records it, else the bare hit bit.
+func (sess *session) missObserver(pred core.Predictor) func(sim.Outcome) {
+	tun := sess.tun
+	attrib, _ := pred.(core.Attributor)
+	if attrib != nil {
+		attrib.SetAttribution(true)
 	}
-	return 100 * float64(misses) / float64(executed)
+	return func(o sim.Outcome) {
+		if !o.Miss || o.Warmup {
+			return
+		}
+		if attrib != nil {
+			at := attrib.Attribution()
+			tun.ObserveMiss(at.TableHit, at.AltCorrect, at.NewEntry, at.Evicted)
+		} else {
+			tun.ObserveMiss(o.HasPred, false, false, false)
+		}
+	}
 }

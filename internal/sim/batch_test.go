@@ -266,6 +266,46 @@ func TestRunContextRepanics(t *testing.T) {
 	t.Fatal("Run returned despite predictor panic")
 }
 
+// TestLaneStepMatchesRun: a Lane stepped over the trace in uneven blocks —
+// the way a streaming caller receives records — accounts exactly like Run,
+// for every lane configuration of the equivalence test.
+func TestLaneStepMatchesRun(t *testing.T) {
+	full := workload.Suite()[0].MustGenerate(2000) // includes conditional records
+	for _, s := range equivalenceLanes() {
+		opts := s.opts
+		if s.mkShadow != nil {
+			opts.Shadow = s.mkShadow(t)
+		}
+		l := NewLane(s.mk(t), opts)
+		for base := 0; base < len(full); base += 97 {
+			if err := l.Step(full[base:min(base+97, len(full))]); err != nil {
+				t.Fatalf("lane %q: %v", s.name, err)
+			}
+		}
+		if s.mkShadow != nil {
+			opts.Shadow = s.mkShadow(t)
+		}
+		if want := Run(s.mk(t), full, opts); !reflect.DeepEqual(l.Result(), want) {
+			t.Errorf("lane %q: stepped %+v != Run %+v", s.name, l.Result(), want)
+		}
+	}
+}
+
+// TestLaneStepPanicIsSticky: a predictor panic surfaces from Step as a
+// *PanicError, and the dead lane never calls the predictor again.
+func TestLaneStepPanicIsSticky(t *testing.T) {
+	tr := cycleTrace(0x1000, []uint32{0x2000}, 10)
+	p := &panicAfter{n: 3}
+	l := NewLane(p, Options{})
+	var pe *PanicError
+	if err := l.Step(tr); !errors.As(err, &pe) || pe.Val != "predictor blew up" {
+		t.Fatalf("Step err = %v, want the predictor's PanicError", err)
+	}
+	if err := l.Step(tr); !errors.As(err, &pe) || p.n != 0 {
+		t.Fatalf("second Step: err %v, predictor updated %d more times", err, -p.n)
+	}
+}
+
 // TestRunBatchCancellation: cancellation returns partial results with
 // ctx.Err() identity preserved.
 func TestRunBatchCancellation(t *testing.T) {

@@ -9,7 +9,9 @@
 // ("lanes") over one trace in a single pass, sharing the record decode and
 // cancellation checks and isolating each lane's panics, so a sweep over a
 // configuration grid pays for the trace once per benchmark instead of once
-// per configuration. Run/RunContext are the single-lane form.
+// per configuration. Run/RunContext are the single-lane form, and Lane
+// exports one lane's record-by-record kernel to callers that receive their
+// records incrementally, such as a streaming service.
 package sim
 
 import (
@@ -200,6 +202,23 @@ func newRunMetrics(r *telemetry.Registry) *runMetrics {
 	}
 }
 
+// Outcome is one resolved dynamic indirect branch as the kernel accounted
+// it, handed to a lane's observer right after the predictor's Update (so a
+// core.Attributor's Attribution describes this branch).
+type Outcome struct {
+	// Seq is the branch's 1-based dynamic index, warmup included.
+	Seq       int
+	PC        uint32
+	Predicted uint32
+	Actual    uint32
+	// HasPred is false when the predictor produced no target.
+	HasPred bool
+	// Miss is a wrong target or no prediction.
+	Miss bool
+	// Warmup marks a branch excluded from the accounting.
+	Warmup bool
+}
+
 // lane is the per-predictor state of a batched run.
 type lane struct {
 	p         core.Predictor
@@ -211,11 +230,14 @@ type lane struct {
 	shadowRst core.Resetter
 	sink      *ptrace.EventSink
 	attrib    core.Attributor
-	opts      Options
-	seen      int
-	res       Result
-	dead      bool
-	err       error
+	// observe, when non-nil, sees every resolved indirect branch: the
+	// Options.Events emitter, or a Lane caller's SetObserver callback.
+	observe func(Outcome)
+	opts    Options
+	seen    int
+	res     Result
+	// err is non-nil once a predictor panic killed the lane.
+	err error
 	// baseStats is the predictor's table counters at run start, so the
 	// per-Result snapshot reports this run's deltas even when the predictor
 	// is a reused (Reset) instance. Only captured when telemetry is on.
@@ -242,6 +264,7 @@ func (l *lane) init(p core.Predictor, opts Options, m *runMetrics) {
 			a.SetAttribution(true)
 			l.attrib = a
 		}
+		l.observe = l.emit
 	}
 	if m != nil {
 		if l.statser, _ = p.(core.TableStatser); l.statser != nil {
@@ -254,7 +277,7 @@ func (l *lane) init(p core.Predictor, opts Options, m *runMetrics) {
 // publishes the deltas to the registry. Dead lanes are skipped (their tables
 // may be mid-mutation).
 func (l *lane) finishStats(m *runMetrics) {
-	if m == nil || l.statser == nil || l.dead {
+	if m == nil || l.statser == nil || l.err != nil {
 		return
 	}
 	cur := l.statser.TableStats()
@@ -285,7 +308,7 @@ func (l *lane) step(block []trace.Record, m *runMetrics) {
 	m.records.Add(uint64(len(block)))
 	m.predicts.Add(uint64(l.seen - seen0))
 	m.misses.Add(uint64(l.res.Misses - miss0))
-	if l.dead {
+	if l.err != nil {
 		m.panics.Inc()
 	}
 }
@@ -300,7 +323,6 @@ func (l *lane) runBlock(block []trace.Record) {
 	defer func() {
 		l.seen, l.res = seen, res
 		if r := recover(); r != nil {
-			l.dead = true
 			l.err = &PanicError{Val: r, Stack: debug.Stack()}
 		}
 	}()
@@ -335,8 +357,9 @@ func (l *lane) runBlock(block []trace.Record) {
 		}
 		seen++
 		miss := !ok || pred != r.Target
-		if l.sink != nil {
-			l.emit(r, pred, ok, miss, seen)
+		if l.observe != nil {
+			l.observe(Outcome{Seq: seen, PC: r.PC, Predicted: pred, Actual: r.Target,
+				HasPred: ok, Miss: miss, Warmup: seen <= l.opts.Warmup})
 		}
 		if seen <= l.opts.Warmup {
 			continue
@@ -365,21 +388,20 @@ func (l *lane) runBlock(block []trace.Record) {
 	}
 }
 
-// emit offers one per-prediction event to the lane's sink, merging the
-// sim-visible outcome with the predictor's attribution detail when the
-// predictor records it. Kept out of runBlock so the hot loop's sink-disabled
-// cost stays at a single nil check.
-func (l *lane) emit(r trace.Record, pred uint32, ok, miss bool, seen int) {
+// emit is the Options.Events observer: it offers one per-prediction event
+// to the lane's sink, merging the sim-visible outcome with the predictor's
+// attribution detail when the predictor records it.
+func (l *lane) emit(o Outcome) {
 	ev := ptrace.Event{
-		Seq:       uint64(seen),
-		PC:        r.PC,
-		Predicted: pred,
-		Actual:    r.Target,
+		Seq:       uint64(o.Seq),
+		PC:        o.PC,
+		Predicted: o.Predicted,
+		Actual:    o.Actual,
 		Component: -1,
-		HasPred:   ok,
-		Miss:      miss,
-		Warmup:    seen <= l.opts.Warmup,
-		TableHit:  ok,
+		HasPred:   o.HasPred,
+		Miss:      o.Miss,
+		Warmup:    o.Warmup,
+		TableHit:  o.HasPred,
 	}
 	if l.attrib != nil {
 		a := l.attrib.Attribution()
@@ -389,6 +411,46 @@ func (l *lane) emit(r trace.Record, pred uint32, ok, miss bool, seen int) {
 	}
 	l.sink.Record(ev)
 }
+
+// Lane is the accounting kernel for one predictor: the rule in the package
+// comment, applied record by record with the running counters, exported so
+// that everything driving a predictor over records — the batch engine, the
+// streaming service and its tuner's swap replay — goes through this one
+// loop and agrees with Run by construction.
+//
+// A Lane is not safe for concurrent use. It publishes no sim_* telemetry
+// and leaves Result.Tables nil; both belong to the batch engine.
+type Lane struct{ lane }
+
+// NewLane returns a kernel driving p under opts (Warmup, Shadow, Sites,
+// FlushEvery and Events mean what they mean to Run).
+func NewLane(p core.Predictor, opts Options) *Lane {
+	l := &Lane{}
+	l.init(p, opts, nil)
+	return l
+}
+
+// Step advances the lane over block. A panic in the predictor or the
+// observer kills the lane: Step returns the *PanicError, then and on every
+// later call, without touching the predictor again.
+func (l *lane) Step(block []trace.Record) error {
+	if l.err == nil {
+		l.runBlock(block)
+	}
+	return l.err
+}
+
+// Result returns the accounting so far.
+func (l *lane) Result() Result { return l.res }
+
+// Predictor returns the predictor the lane drives.
+func (l *lane) Predictor() core.Predictor { return l.p }
+
+// SetObserver installs fn (nil removes it) as the lane's one observer,
+// replacing the Options.Events emitter if there was one. fn sees every
+// resolved indirect branch, warmup included, and must not call back into
+// the lane. With no observer the kernel pays one nil check per branch.
+func (l *lane) SetObserver(fn func(Outcome)) { l.observe = fn }
 
 // blockSize is how many trace records a lane processes per protected block;
 // the context is polled once per block. A power of two matching the old
@@ -451,9 +513,9 @@ func RunBatchEach(ctx context.Context, ps []core.Predictor, tr trace.Trace, opts
 		}
 		block := tr[base:end]
 		for i := range lanes {
-			if l := &lanes[i]; !l.dead {
+			if l := &lanes[i]; l.err == nil {
 				l.step(block, m)
-				if l.dead {
+				if l.err != nil {
 					live--
 				}
 			}

@@ -1,7 +1,7 @@
-// Log-bucketed latency histograms: the percentile-bearing upgrade of Timer.
+// Log-bucketed latency histograms, the registry's only duration metric.
 //
-// A Histogram keeps the Timer's count/total-ns pair (so every snapshot key a
-// Timer ever exported stays stable) and adds a fixed array of atomic bucket
+// A Histogram keeps a count/total-ns pair (snapshot keys <name>_count and
+// <name>_ns) and adds a fixed array of atomic bucket
 // counters over a log2 scale with 4 sub-buckets per octave — ~12% worst-case
 // relative error on any quantile, 1.3KB per histogram, no locks, and an
 // Observe that is two atomic adds and an atomic increment with zero
@@ -65,9 +65,8 @@ func histLower(idx int) uint64 {
 
 // Histogram accumulates duration observations into log-spaced buckets and
 // answers quantile queries. The nil Histogram is a valid no-op, same contract
-// as every other handle in this package. It is a drop-in replacement for
-// Timer: Observe/Count/Total/Mean have identical signatures, and Snapshot
-// emits the same <name>_count / <name>_ns keys (plus quantiles).
+// as every other handle in this package. Snapshot emits its <name>_count /
+// <name>_ns keys plus quantiles.
 type Histogram struct {
 	n       atomic.Uint64
 	ns      atomic.Uint64

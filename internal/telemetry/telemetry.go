@@ -1,5 +1,5 @@
 // Package telemetry is the instrumentation layer of the simulator: a
-// registry of named atomic counters, gauges, and timers cheap enough to stay
+// registry of named atomic counters, gauges, and histograms cheap enough to stay
 // enabled inside the zero-alloc simulation hot loop, plus structured-logging
 // and HTTP-exposure helpers for the command-line front ends.
 //
@@ -22,7 +22,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing metric. The nil Counter is a valid
@@ -84,47 +83,6 @@ func (g *Gauge) Load() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// Timer accumulates observations of a repeated duration: a count and a total
-// in nanoseconds. The nil Timer is a valid no-op.
-type Timer struct {
-	n  atomic.Uint64
-	ns atomic.Uint64
-}
-
-// Observe records one duration.
-func (t *Timer) Observe(d time.Duration) {
-	if t == nil {
-		return
-	}
-	t.n.Add(1)
-	t.ns.Add(uint64(d.Nanoseconds()))
-}
-
-// Count returns the number of observations.
-func (t *Timer) Count() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.n.Load()
-}
-
-// Total returns the accumulated duration.
-func (t *Timer) Total() time.Duration {
-	if t == nil {
-		return 0
-	}
-	return time.Duration(t.ns.Load())
-}
-
-// Mean returns the average observation, 0 before the first one.
-func (t *Timer) Mean() time.Duration {
-	n := t.Count()
-	if n == 0 {
-		return 0
-	}
-	return t.Total() / time.Duration(n)
-}
-
 // Registry is a namespace of metrics. Handles are created on first use and
 // live for the registry's lifetime, so callers cache them in locals or
 // structs and update lock-free from any number of goroutines.
@@ -135,7 +93,6 @@ type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
-	timers     map[string]*Timer
 	histograms map[string]*Histogram
 }
 
@@ -144,7 +101,6 @@ func New() *Registry {
 	return &Registry{
 		counters:   make(map[string]*Counter),
 		gauges:     make(map[string]*Gauge),
-		timers:     make(map[string]*Timer),
 		histograms: make(map[string]*Histogram),
 	}
 }
@@ -181,28 +137,11 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Timer returns the named timer, creating it on first use. Returns nil on
-// the nil Registry.
-func (r *Registry) Timer(name string) *Timer {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	t := r.timers[name]
-	if t == nil {
-		t = &Timer{}
-		r.timers[name] = t
-	}
-	return t
-}
-
 // Snapshot is a point-in-time reading of every metric in a registry, keyed
-// by metric name. Timers appear as two entries: <name>_count and <name>_ns.
-// Histograms keep those two keys (so converting a timer to a histogram
-// changes no existing dashboard or manifest key) and add quantile entries
-// <name>_p50_ns, _p95_ns, _p99_ns, _p999_ns. It marshals directly into run
-// manifests and metric dumps.
+// by metric name. A histogram appears as <name>_count and <name>_ns (the
+// observation count and total) plus quantile entries <name>_p50_ns, _p95_ns,
+// _p99_ns, _p999_ns. It marshals directly into run manifests and metric
+// dumps.
 type Snapshot map[string]float64
 
 // Snapshot reads every metric. Metrics updated concurrently are read
@@ -215,16 +154,12 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s := make(Snapshot, len(r.counters)+len(r.gauges)+2*len(r.timers)+6*len(r.histograms))
+	s := make(Snapshot, len(r.counters)+len(r.gauges)+6*len(r.histograms))
 	for name, c := range r.counters {
 		s[name] = float64(c.Load())
 	}
 	for name, g := range r.gauges {
 		s[name] = g.Load()
-	}
-	for name, t := range r.timers {
-		s[name+"_count"] = float64(t.Count())
-		s[name+"_ns"] = float64(t.Total().Nanoseconds())
 	}
 	for name, h := range r.histograms {
 		s[name+"_count"] = float64(h.Count())
