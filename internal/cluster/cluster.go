@@ -463,6 +463,10 @@ func (r *Router) handleConn(conn net.Conn) {
 	go sess.writeLoop()
 	go sess.forward()
 
+	// IndirectOnly stays false: elision would need every backend's tuner
+	// target, not just this Hello's predictor, to ignore conditional
+	// records, so routed sessions keep full frames (and the journal replays
+	// exactly those).
 	ackPayload, _ := json.Marshal(serve.HelloAck{
 		Session:         sess.id,
 		Predictor:       pred.Name(),

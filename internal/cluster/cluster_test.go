@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"context"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -165,6 +167,9 @@ func TestRouterBasic(t *testing.T) {
 	defer c.Close()
 	if c.Session().Window <= 0 || c.Session().Predictor == "" {
 		t.Fatalf("router handshake granted bad session: %+v", c.Session())
+	}
+	if c.Session().IndirectOnly {
+		t.Fatal("router granted record elision; routed sessions keep full frames")
 	}
 	sum, err := c.Stream(tr, 512, nil)
 	if err != nil {
@@ -348,6 +353,44 @@ func TestRouterRejectsBadHello(t *testing.T) {
 	var we *serve.WireError
 	if !errors.As(err, &we) || we.Code != serve.CodeBadHello {
 		t.Fatalf("want %s error, got %v", serve.CodeBadHello, err)
+	}
+}
+
+// TestRouterRejectsIndirectFrame: the router never grants elision, so an
+// indirect-only records frame would reach a backend short of records its
+// predictor may read; the router fails the client instead of skipping it.
+func TestRouterRejectsIndirectFrame(t *testing.T) {
+	_, b1 := startServe(t)
+	_, addr := startRouter(t, []string{b1}, nil)
+	c, err := serve.Dial(addr, serve.Hello{Benchmark: "gcc"}, serve.DialOptions{Timeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	tr := suiteTrace(t, "gcc", 8000)
+	payload := binary.AppendUvarint(nil, 1)
+	payload = binary.AppendUvarint(payload, 512)
+	payload = trace.AppendIndirectRecords(payload, tr[:512])
+	if err := c.WriteFrame(serve.FrameIndirect, payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := c.ReadFrame(5 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Release()
+	if f.Type != serve.FrameError {
+		t.Fatalf("frame type %#x, want FrameError", f.Type)
+	}
+	var we serve.WireError
+	if err := json.Unmarshal(f.Payload, &we); err != nil {
+		t.Fatal(err)
+	}
+	if we.Code != serve.CodeBadFrame {
+		t.Fatalf("error %q (%s), want code %q", we.Code, we.Msg, serve.CodeBadFrame)
 	}
 }
 

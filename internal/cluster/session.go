@@ -399,6 +399,13 @@ func (sess *proxySession) readLoop(fr *trace.FrameReader) {
 			sess.mu.Unlock()
 			sess.signal()
 			return
+		case serve.FrameIndirect:
+			// The router's HelloAck never grants elision, so these records
+			// are short of the ones a backend's predictor may read; skipping
+			// the frame would lose them silently.
+			f.Release()
+			sess.failClient(serve.CodeBadFrame, "indirect-only records frame: the router does not grant elision")
+			return
 		default:
 			// Ignore unknown client frame types for forward compatibility,
 			// like serve's session reader.

@@ -44,6 +44,23 @@ type CondObserver interface {
 	ObserveCond(pc, target uint32, taken bool)
 }
 
+// ConsumesCond reports whether p reads conditional-branch records at all.
+// It is true for the target cache and for a TwoLevel in the §3.3 variation
+// (IncludeCond); a TwoLevel without it implements CondObserver but returns
+// at once, so it is false there, as for every predictor that is no
+// CondObserver. Callers that skip conditional records for a non-consuming
+// predictor (sim's record loop, the serve wire) decide here, so they agree
+// on which records matter by construction.
+func ConsumesCond(p Predictor) bool {
+	switch p := p.(type) {
+	case *TwoLevel:
+		return p.cfg.IncludeCond
+	case CondObserver:
+		return true
+	}
+	return false
+}
+
 // Resetter is implemented by predictors whose state can be cleared for
 // reuse across benchmark runs.
 type Resetter interface {

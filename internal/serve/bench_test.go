@@ -15,7 +15,8 @@ import (
 
 // BenchmarkServeLoopback measures end-to-end serve throughput over a loopback
 // TCP connection: framing, checksums, shard hand-off, prediction, and the
-// ack stream, reported as records/s.
+// ack stream, reported as logical records/s (elided records included) next
+// to the bytes on the wire per indirect branch.
 func BenchmarkServeLoopback(b *testing.B) {
 	benchServeLoopback(b, nil, false)
 }
@@ -90,15 +91,14 @@ func benchServeLoopbackCfg(b *testing.B, cfg Config, streamed bool) {
 		}()
 	}
 
+	var wire int64 // bytes both ways, handshake included
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c, err := Dial(addr, Hello{Benchmark: "gcc"}, DialOptions{Timeout: 30 * time.Second})
-		if err != nil {
-			b.Fatal(err)
-		}
+		c, tap := dialTap(b, addr, Hello{Benchmark: "gcc"}, false)
 		sum, err := c.Stream(tr, 2048, nil)
 		c.Close()
+		wire += tap.wire.Load()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -111,4 +111,5 @@ func benchServeLoopbackCfg(b *testing.B, cfg Config, streamed bool) {
 	if elapsed > 0 {
 		b.ReportMetric(float64(b.N*len(tr))/elapsed.Seconds(), "records/s")
 	}
+	b.ReportMetric(float64(wire)/float64(b.N*len(tr.Indirect())), "wire-B/indirect")
 }

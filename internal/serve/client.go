@@ -252,7 +252,10 @@ func (c *Client) ReadFrame(deadline time.Duration) (trace.Frame, error) {
 
 // Stream replays tr through the session in frames of recsPerFrame records
 // (<=0 picks the server's maximum), keeping at most the granted window of
-// frames unacknowledged, and returns the server's final Summary.
+// frames unacknowledged, and returns the server's final Summary. When the
+// HelloAck granted IndirectOnly, each frame ships only its indirect records
+// plus its logical record count (FrameIndirect); acks and the Summary
+// count the same records either way.
 //
 // onAck, when non-nil, observes every acknowledgement together with the
 // frame's round-trip time (send of the records frame to receipt of its ack).
@@ -372,10 +375,18 @@ func (c *Client) Stream(tr trace.Trace, recsPerFrame int, onAck func(Ack, time.D
 	}
 
 	// Encode buffer from the shared pool instead of a per-call allocation;
-	// 16 bytes covers any record's worst-case encoding (4 varints).
-	encBuf := clientPool.Get(recsPerFrame*16 + 2*binary.MaxVarintLen64)
+	// 16 bytes covers any record's worst-case encoding (4 varints), plus
+	// the seq, logical-count and chunk-count prefixes.
+	encBuf := clientPool.Get(recsPerFrame*16 + 3*binary.MaxVarintLen64)
 	defer encBuf.Release()
 	payload := encBuf.Bytes()[:0]
+	// A session granted elision ships each frame's indirect records only;
+	// the encoder skips the rest in the same pass, so the filter costs no
+	// buffer of its own.
+	typ, encode := uint64(FrameRecords), appendRecordsFrame
+	if c.ack.IndirectOnly {
+		typ, encode = FrameIndirect, appendIndirectFrame
+	}
 	var seqNum uint64
 	for start := 0; start < len(tr); start += recsPerFrame {
 		end := min(start+recsPerFrame, len(tr))
@@ -404,7 +415,7 @@ func (c *Client) Stream(tr trace.Trace, recsPerFrame int, onAck func(Ack, time.D
 			}
 		}
 		seqNum++
-		payload = appendRecordsFrame(payload[:0], seqNum, tr[start:end])
+		payload = encode(payload[:0], seqNum, tr[start:end])
 		if timing {
 			// RTT/hop bookkeeping only when someone is listening: the map
 			// and clock reads are pure overhead otherwise. The entry lands
@@ -415,7 +426,7 @@ func (c *Client) Stream(tr trace.Trace, recsPerFrame int, onAck func(Ack, time.D
 			mu.Unlock()
 		}
 		c.conn.SetWriteDeadline(time.Now().Add(c.timeout))
-		if err := c.fw.WriteFrame(FrameRecords, payload); err != nil {
+		if err := c.fw.WriteFrame(typ, payload); err != nil {
 			return finish()
 		}
 		if timing {

@@ -32,6 +32,26 @@
 // Summary (JSON); a server-initiated drain delivers the same Summary with
 // Drained set. Protocol violations and predictor failures arrive as Error
 // frames before the connection closes.
+//
+// Record elision. The paper's predictors read only indirect branches; the
+// conditional records that dominate a trace matter only to predictors for
+// which core.ConsumesCond holds (the target cache and the two-level §3.3
+// IncludeCond variation). When no predictor a session can run consumes
+// them — its opening predictor, which is also what a de-escalation returns
+// to, and, for a tuned session, the policy's escalation target — the
+// HelloAck sets IndirectOnly. A client that reads the grant sends
+// FrameIndirect frames instead of Records frames: the sequence number, the
+// frame's logical record count (every record, elided ones included), and a
+// record chunk of the frame's indirect records only. Acks, the Summary and
+// every server metric count logical records, so they read the same whether
+// or not a session elides. The grant is an optional JSON field: old clients
+// ignore it and send full frames (still accepted), and old servers never
+// set it, so the protocol version is unchanged. A FrameIndirect the server
+// did not grant fails the session with bad-frame rather than being skipped,
+// as does a logical count above MaxFrameRecords or below the chunk's own
+// record count. The cluster router never grants elision: routed sessions,
+// their journal and failover replay keep full frames, because a grant there
+// would need every backend's tuner target to be non-consuming.
 package serve
 
 import (
@@ -58,6 +78,11 @@ const (
 	FrameHello   = 0x10 // JSON Hello
 	FrameRecords = 0x11 // uvarint seq + record chunk
 	FrameDone    = 0x12 // empty; requests the final Summary
+	// FrameIndirect is a records frame with the non-indirect records
+	// elided: uvarint seq + uvarint logical record count + a chunk of the
+	// frame's indirect records. Only sessions granted HelloAck.IndirectOnly
+	// may send it.
+	FrameIndirect = 0x13
 
 	FrameHelloAck = 0x20 // JSON HelloAck
 	FrameAck      = 0x21 // binary Ack
@@ -124,6 +149,11 @@ type HelloAck struct {
 	// TraceID echoes the session's effective trace ID (the client's, or one
 	// the server minted when the Hello carried none and tracing is on).
 	TraceID string `json:"traceId,omitempty"`
+	// IndirectOnly grants record elision: no predictor this session can
+	// run reads conditional records, so the client may send FrameIndirect
+	// frames instead of FrameRecords. Full frames stay legal (old clients
+	// ignore the field); old servers and the router never set it.
+	IndirectOnly bool `json:"indirectOnly,omitempty"`
 }
 
 // Ack is the server's acknowledgement of one processed records frame. All
@@ -133,7 +163,8 @@ type HelloAck struct {
 type Ack struct {
 	// Seq is the acknowledged frame's sequence number.
 	Seq uint64
-	// Records is the number of trace records in the frame (all kinds).
+	// Records is the number of trace records in the frame (all kinds):
+	// for a FrameIndirect frame its logical count, elided records included.
 	Records int
 	// Executed is the number of counted indirect branches in the frame.
 	Executed int
@@ -163,7 +194,8 @@ type Summary struct {
 	Benchmark string `json:"benchmark,omitempty"`
 	Predictor string `json:"predictor"`
 	// Frames and Records count the records frames and trace records the
-	// session processed and acknowledged.
+	// session processed and acknowledged; Records counts logical records,
+	// so an elided session reports the same figure as a full one.
 	Frames  int `json:"frames"`
 	Records int `json:"records"`
 	// Executed, Misses, NoPrediction and Warmup follow sim.Result.
@@ -362,6 +394,53 @@ func splitRecordsFrame(payload []byte) (seq uint64, chunk []byte, err error) {
 		return 0, nil, fmt.Errorf("serve: records seq: %w", io.ErrUnexpectedEOF)
 	}
 	return seq, payload[n:], nil
+}
+
+// appendIndirectFrame encodes a FrameIndirect payload: uvarint seq, uvarint
+// logical record count (len(recs)), then the chunk of recs' indirect records.
+func appendIndirectFrame(buf []byte, seq uint64, recs trace.Trace) []byte {
+	buf = binary.AppendUvarint(buf, seq)
+	buf = binary.AppendUvarint(buf, uint64(len(recs)))
+	return trace.AppendIndirectRecords(buf, recs)
+}
+
+// splitIndirectFrame peels the sequence number and logical record count off
+// a FrameIndirect payload and returns the chunk that follows. A frame may
+// elide records but never invent them, so the chunk's declared count must
+// not exceed the logical count, which obeys the maxRecords bound of a full
+// frame. Like splitRecordsFrame it leaves the records themselves to the
+// worker's iteration. Truncation wraps io.ErrUnexpectedEOF; every other
+// rejection wraps trace.ErrBadFormat.
+func splitIndirectFrame(payload []byte, maxRecords int) (seq uint64, logical int, chunk []byte, err error) {
+	seq, n := binary.Uvarint(payload)
+	if n <= 0 {
+		return 0, 0, nil, uvarintErr("indirect frame seq", n)
+	}
+	lc, m := binary.Uvarint(payload[n:])
+	if m <= 0 {
+		return 0, 0, nil, uvarintErr("indirect frame logical count", m)
+	}
+	if lc > uint64(maxRecords) {
+		return 0, 0, nil, fmt.Errorf("serve: %w: indirect frame of %d logical records, limit %d", trace.ErrBadFormat, lc, maxRecords)
+	}
+	chunk = payload[n+m:]
+	it, err := trace.NewRecordIter(chunk, maxRecords)
+	if err != nil {
+		return 0, 0, nil, fmt.Errorf("serve: indirect frame chunk: %w", err)
+	}
+	if it.Len() > int(lc) {
+		return 0, 0, nil, fmt.Errorf("serve: %w: indirect frame chunk holds %d records, more than its %d logical records", trace.ErrBadFormat, it.Len(), lc)
+	}
+	return seq, int(lc), chunk, nil
+}
+
+// uvarintErr types a failed binary.Uvarint read of the named field: n == 0
+// is truncation, n < 0 an encoding past 64 bits.
+func uvarintErr(field string, n int) error {
+	if n == 0 {
+		return fmt.Errorf("serve: %s: %w", field, io.ErrUnexpectedEOF)
+	}
+	return fmt.Errorf("serve: %s: %w: varint overflow", field, trace.ErrBadFormat)
 }
 
 // decodeRecordsFrame splits a FrameRecords payload into its sequence number

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"log/slog"
 	"net"
 	"testing"
@@ -49,12 +50,13 @@ func startServer(t *testing.T, cfg Config) (*Server, string) {
 	return srv, ln.Addr().String()
 }
 
-// benchTrace memoizes one small benchmark trace per test binary run.
+// benchTrace memoizes one small benchmark trace per name and length per
+// test binary run.
 var benchTraces = map[string]trace.Trace{}
 
 func benchTrace(t *testing.T, name string, n int) trace.Trace {
 	t.Helper()
-	key := name
+	key := fmt.Sprintf("%s/%d", name, n)
 	if tr, ok := benchTraces[key]; ok && len(tr) > 0 {
 		return tr
 	}

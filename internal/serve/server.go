@@ -127,14 +127,15 @@ type Server struct {
 // the borrowed frame payload (backed by buf when pooled); whoever consumes
 // the job — the worker, or the drain paths around it — releases buf.
 type job struct {
-	sess   *session
-	seq    uint64
-	chunk  []byte           // record chunk, seq already peeled off
-	buf    *trace.PooledBuf // backing pooled buffer; nil for sentinels
-	recvNS int64            // unix ns the reader pulled the frame off the wire
-	span   *flight.Span     // frame span; nil when tracing is off
-	done   bool             // client sent Done
-	drain  bool             // server drain ended the stream
+	sess    *session
+	seq     uint64
+	chunk   []byte           // record chunk, seq already peeled off
+	logical int              // FrameIndirect's logical record count; 0 for a whole chunk
+	buf     *trace.PooledBuf // backing pooled buffer; nil for sentinels
+	recvNS  int64            // unix ns the reader pulled the frame off the wire
+	span    *flight.Span     // frame span; nil when tracing is off
+	done    bool             // client sent Done
+	drain   bool             // server drain ended the stream
 }
 
 // shard is one predictor worker and its bounded queue. All jobs of a session
@@ -395,7 +396,8 @@ func (s *Server) handleConn(conn net.Conn) {
 		return
 	}
 	log.Info("session open", "session", sess.id, "benchmark", sess.hello.Benchmark,
-		"predictor", sess.predName, "events", sess.events, "window", sess.window)
+		"predictor", sess.predName, "events", sess.events, "window", sess.window,
+		"indirectOnly", sess.indirectOnly)
 	sess.readLoop(fr)
 }
 
@@ -490,6 +492,7 @@ func (s *Server) openSession(conn net.Conn, fr *trace.FrameReader) (*session, er
 			sess.lane.SetObserver(sess.missObserver(pred))
 		}
 	}
+	sess.indirectOnly = sess.elidable()
 	s.m.sessionsTotal.Inc()
 	s.m.sessionsActive.Add(1)
 
@@ -506,8 +509,24 @@ func (s *Server) openSession(conn net.Conn, fr *trace.FrameReader) (*session, er
 		MaxFrameRecords: s.cfg.MaxFrameRecords,
 		Events:          hello.Events,
 		TraceID:         sess.tracer.TraceID(),
+		IndirectOnly:    sess.indirectOnly,
 	})})
 	return sess, nil
+}
+
+// elidable reports whether the session may be granted record elision: no
+// predictor it can ever run reads conditional records. That is its opening
+// predictor (also the target of any de-escalation) and, when it is tuned,
+// the policy's escalation target.
+func (sess *session) elidable() bool {
+	if core.ConsumesCond(sess.lane.Predictor()) {
+		return false
+	}
+	if sess.tun == nil {
+		return true
+	}
+	target, err := sess.tun.Policy().Target.Build()
+	return err == nil && !core.ConsumesCond(target)
 }
 
 // unregister removes the session from the live set. The registry's

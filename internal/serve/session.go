@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -47,6 +48,10 @@ type session struct {
 	predName string
 	window   int
 	events   bool
+	// indirectOnly is the HelloAck's elision grant: the reader accepts
+	// FrameIndirect frames only when it is set. Set before the reader
+	// starts, read-only after.
+	indirectOnly bool
 	// tracer mints a flight span per records frame; nil when tracing is off
 	// (the zero-cost path). Set before the reader starts, read-only after.
 	tracer *flight.Tracer
@@ -324,11 +329,27 @@ func (sess *session) readLoop(fr *trace.FrameReader) {
 			return
 		}
 		switch f.Type {
-		case FrameRecords:
-			// The reader only peels the sequence number and (for shard
-			// pinning) peeks the first PC; the chunk itself is validated by
-			// the worker while it iterates the borrowed payload in place.
-			seq, chunk, err := splitRecordsFrame(f.Payload)
+		case FrameRecords, FrameIndirect:
+			// The reader only peels the sequence number (and an elided
+			// frame's logical count) and, for shard pinning, peeks the first
+			// PC; the chunk itself is validated by the worker while it
+			// iterates the borrowed payload in place.
+			var (
+				seq     uint64
+				logical int
+				chunk   []byte
+				err     error
+			)
+			switch {
+			case f.Type == FrameRecords:
+				seq, chunk, err = splitRecordsFrame(f.Payload)
+			case !sess.indirectOnly:
+				// Accepting it would drop the elided records from a
+				// predictor that reads them.
+				err = errors.New("serve: indirect-only records frame on a session not granted elision")
+			default:
+				seq, logical, chunk, err = splitIndirectFrame(f.Payload, s.cfg.MaxFrameRecords)
+			}
 			if err != nil {
 				f.Release()
 				sess.fail(CodeBadFrame, err.Error())
@@ -361,7 +382,7 @@ func (sess *session) readLoop(fr *trace.FrameReader) {
 			// Stamped before enqueue so a blocked (backpressured) enqueue
 			// shows up in the enqueue→dequeue gap, where it belongs.
 			sp.Stamp(flight.HopServerEnqueue)
-			if !s.enqueue(sess.shard, job{sess: sess, seq: seq, chunk: chunk, buf: f.Buffer(), recvNS: recvNS, span: sp}) {
+			if !s.enqueue(sess.shard, job{sess: sess, seq: seq, chunk: chunk, logical: logical, buf: f.Buffer(), recvNS: recvNS, span: sp}) {
 				// Hard stop; enqueue released the buffer. Take the session
 				// off the books — no worker will ever summarize it.
 				sess.hardClose()
@@ -416,16 +437,19 @@ func (sess *session) processFrame(j job) {
 		sess.fail(CodeBadFrame, err.Error())
 		return
 	}
+	// A full chunk holds every record of the frame; an elided frame's
+	// logical count, which the reader checked is at least its chunk's, also
+	// counts the records it left out. Acks, the Summary and every metric
+	// report this logical figure.
+	nrecs := max(it.Len(), j.logical)
 	res0 := sess.lane.Result()
 	sess.evBuf = sess.evBuf[:0]
-	nrecs := 0
 	var batch [256]trace.Record
 	for {
 		bn := it.NextBatch(batch[:])
 		if bn == 0 {
 			break
 		}
-		nrecs += bn
 		if err := sess.lane.Step(batch[:bn]); err != nil {
 			m.panics.Inc()
 			sess.fail(CodePredictor, err.Error())

@@ -32,9 +32,13 @@ func tunedServer(t *testing.T, spec string) (*Server, string) {
 // Summary bit-identical to a session that ran the swap target from its
 // first record — the swap replays the whole retained history — and two
 // identical runs must land identical summaries (decisions are functions of
-// the record stream, never the clock). The targets cover both paths of the
-// replay: ittage skips conditional records, tcache reads every one. The
-// tuner CI job greps for this test, so it must never t.Skip.
+// the record stream, never the clock). The rows cover every path of the
+// replay: with base 2lev and target ittage nothing reads conditional
+// records, so the session is granted elision and the history holds the
+// elided frames; the same session sending full frames (a client that ignores
+// the grant) must land the same summary; tcache reads every conditional
+// record, so its session is not granted elision. The tuner and serve CI jobs
+// grep for this test, so it must never t.Skip.
 func TestTunerSwapBitReproducible(t *testing.T) {
 	const (
 		n      = 6000
@@ -43,8 +47,17 @@ func TestTunerSwapBitReproducible(t *testing.T) {
 	)
 	cfg := workload.Suite()[0]
 	tr := cfg.MustGenerate(n)
-	for _, spec := range []string{"ittage:4,256,2", "tcache"} {
-		t.Run(spec, func(t *testing.T) {
+	for _, row := range []struct {
+		name, spec string
+		fullFrames bool // the client ignores an elision grant
+		elided     bool // the session is granted elision
+	}{
+		{"ittage:4,256,2", "ittage:4,256,2", false, true},
+		{"ittage:4,256,2-full-frames", "ittage:4,256,2", true, true},
+		{"tcache", "tcache", false, false},
+	} {
+		spec := row.spec
+		t.Run(row.name, func(t *testing.T) {
 			_, addr := tunedServer(t, strings.Replace(aggressivePolicy, "target=ittage:4,256,2", "target="+spec, 1))
 
 			run := func() Summary {
@@ -52,6 +65,12 @@ func TestTunerSwapBitReproducible(t *testing.T) {
 				c, err := Dial(addr, Hello{Benchmark: cfg.Name, Warmup: warmup}, DialOptions{Timeout: 20 * time.Second, Retries: 2})
 				if err != nil {
 					t.Fatalf("dial: %v", err)
+				}
+				if c.Session().IndirectOnly != row.elided {
+					t.Fatalf("elision granted = %v, want %v", c.Session().IndirectOnly, row.elided)
+				}
+				if row.fullFrames {
+					c.ack.IndirectOnly = false
 				}
 				sum, err := c.Stream(tr, frame, nil)
 				c.Close()
@@ -86,6 +105,9 @@ func TestTunerSwapBitReproducible(t *testing.T) {
 			}
 			if sum.MissRate != wantRate {
 				t.Errorf("miss rate %v, want %v (must be bit-identical)", sum.MissRate, wantRate)
+			}
+			if frames := (len(tr) + frame - 1) / frame; sum.Records != len(tr) || sum.Frames != frames {
+				t.Errorf("summary counts %d records in %d frames, want %d in %d", sum.Records, sum.Frames, len(tr), frames)
 			}
 
 			// Same trace, same policy: the rerun must land the identical

@@ -247,11 +247,17 @@ type lane struct {
 func (l *lane) init(p core.Predictor, opts Options, m *runMetrics) {
 	l.p = p
 	l.opts = opts
-	l.condObs, _ = p.(core.CondObserver)
+	// Conditional records reach only predictors that read them, so a
+	// predictor whose ObserveCond is a no-op costs no call per record.
+	if core.ConsumesCond(p) {
+		l.condObs = p.(core.CondObserver)
+	}
 	l.resetter, _ = p.(core.Resetter)
 	l.shadow = opts.Shadow
 	if l.shadow != nil {
-		l.shadowObs, _ = l.shadow.(core.CondObserver)
+		if core.ConsumesCond(l.shadow) {
+			l.shadowObs = l.shadow.(core.CondObserver)
+		}
 		l.shadowRst, _ = l.shadow.(core.Resetter)
 	}
 	l.res = Result{Warmup: opts.Warmup}
@@ -569,8 +575,8 @@ func RunBatch(ctx context.Context, ps []core.Predictor, tr trace.Trace, opts Opt
 }
 
 // Run simulates the predictor over the trace. Conditional-branch records are
-// delivered to predictors implementing core.CondObserver; return records are
-// skipped (see the ras package).
+// delivered to predictors that read them (core.ConsumesCond); return records
+// are skipped (see the ras package).
 func Run(p core.Predictor, tr trace.Trace, opts Options) Result {
 	res, _ := RunContext(context.Background(), p, tr, opts)
 	return res

@@ -143,21 +143,51 @@ func (fr *FrameReader) Offset() int64 { return fr.s.off }
 // per-record encode cost; everything else defers to putRecord.
 func AppendRecords(buf []byte, recs []Record) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(recs)))
+	buf, _ = appendBody(buf, recs, false)
+	return buf
+}
+
+// AppendIndirectRecords is AppendRecords over only the indirect records of
+// recs (Kind.Indirect), in order, without materializing the subsequence:
+// the chunk equals AppendRecords(buf, Trace(recs).Indirect()). It is the
+// streaming client's encoder for sessions whose predictor reads no other
+// kind. It walks recs once: the count prefix is reserved at the width
+// len(recs) needs and rewritten, closing the gap, once the count is known.
+func AppendIndirectRecords(buf []byte, recs []Record) []byte {
+	start := len(buf)
+	buf = binary.AppendUvarint(buf, uint64(len(recs)))
+	w := len(buf) - start
+	buf, n := appendBody(buf, recs, true)
+	if nw := binary.PutUvarint(buf[start:], uint64(n)); nw < w {
+		buf = append(buf[:start+nw], buf[start+w:]...)
+	}
+	return buf
+}
+
+// appendBody appends the delta-encoded records of recs, skipping
+// non-indirect ones when indirectOnly is set, and returns how many it
+// encoded.
+func appendBody(buf []byte, recs []Record, indirectOnly bool) ([]byte, int) {
+	n := 0
 	var prevPC, prevTgt uint32
 	for _, r := range recs {
+		if indirectOnly && !r.Kind.Indirect() {
+			continue
+		}
+		n++
 		upc := zigzag(int64(int32(r.PC-prevPC)) >> 2)
 		utg := zigzag(int64(int32(r.Target-prevTgt)) >> 2)
 		if upc|utg|uint64(r.Gap)|uint64(r.Kind) < 1<<7 && cap(buf)-len(buf) >= 4 {
-			n := len(buf)
-			binary.LittleEndian.PutUint32(buf[n:cap(buf)],
+			k := len(buf)
+			binary.LittleEndian.PutUint32(buf[k:cap(buf)],
 				uint32(upc)|uint32(utg)<<8|uint32(r.Kind)<<16|r.Gap<<24)
-			buf = buf[:n+4]
+			buf = buf[:k+4]
 		} else {
 			buf = putRecord(buf, r, prevPC, prevTgt)
 		}
 		prevPC, prevTgt = r.PC, r.Target
 	}
-	return buf
+	return buf, n
 }
 
 // DecodeRecords decodes a payload produced by AppendRecords. maxRecords

@@ -126,3 +126,37 @@ func TestRecordsPayloadRoundTrip(t *testing.T) {
 		t.Fatal("truncated payload accepted")
 	}
 }
+
+// TestAppendIndirectRecords: the filtering encoder writes exactly the chunk
+// AppendRecords writes for the materialized indirect subsequence, appends
+// after existing bytes, and an all-filtered input is the empty chunk. The
+// sizes cross the one-, two- and three-byte count prefixes, so the reserved
+// prefix is both kept and narrowed.
+func TestAppendIndirectRecords(t *testing.T) {
+	tr := genTrace(20000)
+	for _, n := range []int{0, 1, 100, 127, 128, 200, 500, 20000} {
+		want := AppendRecords([]byte{0xab}, tr[:n].Indirect())
+		if got := AppendIndirectRecords([]byte{0xab}, tr[:n]); !bytes.Equal(got, want) {
+			t.Fatalf("%d records: indirect-only chunk differs from AppendRecords over Indirect(): %d vs %d bytes", n, len(got), len(want))
+		}
+	}
+	conds := tr[:500].OfKind(Cond, Return)
+	if got := AppendIndirectRecords(nil, conds); !bytes.Equal(got, []byte{0}) {
+		t.Fatalf("chunk of no indirect records = %x, want 00", got)
+	}
+}
+
+// TestFrameWriteZeroAllocs: framing a payload — header, checksum, trailer —
+// allocates nothing, so a streaming writer's per-frame cost is the copy.
+func TestFrameWriteZeroAllocs(t *testing.T) {
+	fw := NewFrameWriter(io.Discard)
+	payload := AppendRecords(nil, genTrace(300))
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := fw.WriteFrame(17, payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("WriteFrame allocates %.1f times per frame, want 0", allocs)
+	}
+}

@@ -90,21 +90,20 @@ func corrupt(records int, offset int64, detail string, err error) error {
 var errChecksum = errors.New("checksum mismatch")
 
 // writeSection frames one section: varint header, payload, CRC32 trailer.
+// Header and trailer are built in the writer's free buffer tail
+// (AvailableBuffer), so framing allocates nothing per section.
 func writeSection(bw *bufio.Writer, typ uint64, payload []byte) error {
-	var hdr [2 * binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], typ)
-	n += binary.PutUvarint(hdr[n:], uint64(len(payload)))
-	sum := crc32.ChecksumIEEE(hdr[:n])
+	hdr := binary.AppendUvarint(bw.AvailableBuffer(), typ)
+	hdr = binary.AppendUvarint(hdr, uint64(len(payload)))
+	sum := crc32.ChecksumIEEE(hdr)
 	sum = crc32.Update(sum, crc32.IEEETable, payload)
-	if _, err := bw.Write(hdr[:n]); err != nil {
+	if _, err := bw.Write(hdr); err != nil {
 		return err
 	}
 	if _, err := bw.Write(payload); err != nil {
 		return err
 	}
-	var cb [4]byte
-	binary.LittleEndian.PutUint32(cb[:], sum)
-	_, err := bw.Write(cb[:])
+	_, err := bw.Write(binary.LittleEndian.AppendUint32(bw.AvailableBuffer(), sum))
 	return err
 }
 
