@@ -67,38 +67,65 @@ func MustHybrid(comps ...Component) *Hybrid {
 	return h
 }
 
+// Vote is one component's output for one branch: its prediction and the
+// confidence counter of the predicting entry.
+type Vote struct {
+	Target uint32
+	Conf   uint8
+	OK     bool
+}
+
+// Ballot is the §6.1 metaprediction over a branch's component votes, offered
+// in component order: the target with the highest confidence wins and ties go
+// to the earlier component. Hybrid.Predict and the batched simulator's
+// shared-component lanes both arbitrate through it.
+type Ballot struct {
+	// Target is the winning prediction (zero while nothing has won).
+	Target uint32
+	// Chosen indexes the winning component, -1 while nothing has won.
+	Chosen int
+	conf   int
+}
+
+// NewBallot returns a ballot with no votes.
+func NewBallot() Ballot { return Ballot{Chosen: -1, conf: -1} }
+
+// Offer casts component i's vote.
+func (b *Ballot) Offer(i int, v Vote) {
+	if v.OK && int(v.Conf) > b.conf {
+		b.Target, b.Chosen, b.conf = v.Target, i, int(v.Conf)
+	}
+}
+
+// OK reports whether any component predicted.
+func (b *Ballot) OK() bool { return b.Chosen >= 0 }
+
+// Components returns the hybrid's components in tie-break order. The slice
+// is the hybrid's own; callers must not modify it.
+func (h *Hybrid) Components() []Component { return h.comps }
+
 // Predict implements Predictor.
 func (h *Hybrid) Predict(pc uint32) (uint32, bool) {
-	var (
-		best     uint32
-		bestConf int = -1
-	)
-	if !h.attrib {
-		for _, c := range h.comps {
-			if t, conf, ok := c.PredictConf(pc); ok && int(conf) > bestConf {
-				best, bestConf = t, int(conf)
-			}
-		}
-		return best, bestConf >= 0
-	}
-	chosen := -1
+	b := NewBallot()
 	for i, c := range h.comps {
 		t, conf, ok := c.PredictConf(pc)
-		h.attPred[i], h.attOK[i] = t, ok
-		if ok && int(conf) > bestConf {
-			best, bestConf, chosen = t, int(conf), i
+		if h.attrib {
+			h.attPred[i], h.attOK[i] = t, ok
+		}
+		b.Offer(i, Vote{Target: t, Conf: conf, OK: ok})
+	}
+	if h.attrib {
+		h.att = AttribState{Component: int16(b.Chosen)}
+		h.attComp = nil
+		if b.OK() {
+			h.att.Conf = uint8(b.conf)
+			h.att.TableHit = true
+			if a, ok := h.comps[b.Chosen].(Attributor); ok {
+				h.attComp = a
+			}
 		}
 	}
-	h.att = AttribState{Component: int16(chosen)}
-	h.attComp = nil
-	if chosen >= 0 {
-		h.att.Conf = uint8(bestConf)
-		h.att.TableHit = true
-		if a, ok := h.comps[chosen].(Attributor); ok {
-			h.attComp = a
-		}
-	}
-	return best, bestConf >= 0
+	return b.Target, b.OK()
 }
 
 // Update implements Predictor: every component resolves the branch. With
@@ -173,53 +200,46 @@ func (h *Hybrid) TableStats() []table.Stats {
 	return out
 }
 
+// DualPathComponent is the configuration of one NewDualPath component: a
+// two-level predictor with path length p over a table of the given kind and
+// size, with 2-bit confidence counters and the §4–§5 default key
+// construction.
+func DualPathComponent(p int, tableKind string, entries int) Config {
+	return Config{
+		PathLength: p,
+		Precision:  AutoPrecision,
+		Scheme:     defaultScheme(tableKind),
+		TableKind:  tableKind,
+		Entries:    entries,
+	}
+}
+
 // NewDualPath builds the paper's canonical hybrid: two two-level components
-// with path lengths p1 and p2, equal table kind and size, 2-bit confidence
-// counters, and the §4–§5 default key construction. The p1 component wins
-// confidence ties.
+// with path lengths p1 and p2, equal table kind and size (see
+// DualPathComponent). The p1 component wins confidence ties.
 func NewDualPath(p1, p2 int, tableKind string, entries int) (*Hybrid, error) {
-	mk := func(p int) (*TwoLevel, error) {
-		return NewTwoLevel(Config{
-			PathLength: p,
-			Precision:  AutoPrecision,
-			Scheme:     defaultScheme(tableKind),
-			TableKind:  tableKind,
-			Entries:    entries,
-		})
-	}
-	a, err := mk(p1)
-	if err != nil {
-		return nil, err
-	}
-	b, err := mk(p2)
-	if err != nil {
-		return nil, err
-	}
-	return NewHybrid(a, b)
+	return NewDualPathSizes(p1, entries, p2, entries, tableKind)
 }
 
 // NewDualPathSizes is the §8.1 variant with unequal component sizes: the
 // short-path component adapts fast and needs few entries, so most of the
 // budget can go to the long-path component (or vice versa).
 func NewDualPathSizes(p1, entries1, p2, entries2 int, tableKind string) (*Hybrid, error) {
-	mk := func(p, entries int) (*TwoLevel, error) {
-		return NewTwoLevel(Config{
-			PathLength: p,
-			Precision:  AutoPrecision,
-			Scheme:     defaultScheme(tableKind),
-			TableKind:  tableKind,
-			Entries:    entries,
-		})
+	return NewTwoLevelHybrid(DualPathComponent(p1, tableKind, entries1), DualPathComponent(p2, tableKind, entries2))
+}
+
+// NewTwoLevelHybrid returns a hybrid over fresh two-level components with
+// the given configurations, earlier components winning confidence ties.
+func NewTwoLevelHybrid(cfgs ...Config) (*Hybrid, error) {
+	comps := make([]Component, len(cfgs))
+	for i, cfg := range cfgs {
+		c, err := NewTwoLevel(cfg)
+		if err != nil {
+			return nil, err
+		}
+		comps[i] = c
 	}
-	a, err := mk(p1, entries1)
-	if err != nil {
-		return nil, err
-	}
-	b, err := mk(p2, entries2)
-	if err != nil {
-		return nil, err
-	}
-	return NewHybrid(a, b)
+	return NewHybrid(comps...)
 }
 
 // defaultScheme picks the pattern layout the paper uses for each table

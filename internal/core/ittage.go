@@ -32,9 +32,11 @@ type ITTAGE struct {
 	attrib bool
 	att    AttribState
 
-	// Table behaviour counters (base, banks), for TableStatser.
+	// Table behaviour counters (base, banks), for TableStatser; live
+	// counts the current-generation entries, so occupancy is O(1).
 	inserts   [2]uint64
 	evictions [2]uint64
+	occupied  [2]int
 	resets    uint64
 }
 
@@ -197,6 +199,11 @@ func (t *ITTAGE) lookup(pc uint32) (provider int, pe *ittageEntry, alt *ittageEn
 // Predict implements Predictor.
 func (t *ITTAGE) Predict(pc uint32) (uint32, bool) {
 	provider, pe, alt, altBank := t.lookup(pc)
+	return t.choose(pc, provider, pe, alt, altBank)
+}
+
+// choose turns a lookup into the prediction, recording its attribution.
+func (t *ITTAGE) choose(pc uint32, provider int, pe, alt *ittageEntry, altBank int) (uint32, bool) {
 	if t.attrib {
 		t.att = AttribState{Component: int16(provider)}
 		if provider < 0 {
@@ -231,8 +238,8 @@ func (t *ITTAGE) Predict(pc uint32) (uint32, bool) {
 
 // Update implements Predictor.
 func (t *ITTAGE) Update(pc, target uint32) {
-	provider, pe, alt, _ := t.lookup(pc)
-	predicted, havePred := t.Predict(pc)
+	provider, pe, alt, altBank := t.lookup(pc)
+	predicted, havePred := t.choose(pc, provider, pe, alt, altBank)
 	correct := havePred && predicted == target
 
 	if provider >= 0 {
@@ -276,6 +283,7 @@ func (t *ITTAGE) Update(pc, target uint32) {
 		be.useful = 0
 		be.hyst = 0
 		t.inserts[0]++
+		t.occupied[0]++
 	} else if be.target == target {
 		be.hyst = 0
 		if be.conf < 3 {
@@ -315,6 +323,8 @@ func (t *ITTAGE) allocate(pc, target uint32, fromBank int) {
 		if !t.live(e) || e.useful == 0 {
 			if t.live(e) {
 				t.evictions[1]++
+			} else {
+				t.occupied[1]++
 			}
 			t.inserts[1]++
 			if t.attrib {
@@ -372,27 +382,15 @@ func (t *ITTAGE) Attribution() AttribState { return t.att }
 // TableStats implements TableStatser: one row for the tagless base, one
 // aggregated row for the tagged banks.
 func (t *ITTAGE) TableStats() []table.Stats {
-	occBase := 0
-	for i := range t.base {
-		if t.live(&t.base[i]) {
-			occBase++
-		}
-	}
-	occBanks, capBanks := 0, 0
+	capBanks := 0
 	for b := range t.banks {
-		entries := t.banks[b].entries
-		capBanks += len(entries)
-		for i := range entries {
-			if t.live(&entries[i]) {
-				occBanks++
-			}
-		}
+		capBanks += len(t.banks[b].entries)
 	}
 	return []table.Stats{
 		{
 			Kind:      "ittage-base",
 			Capacity:  len(t.base),
-			Occupancy: float64(occBase) / float64(len(t.base)),
+			Occupancy: float64(t.occupied[0]) / float64(len(t.base)),
 			Inserts:   t.inserts[0],
 			Evictions: t.evictions[0],
 			Resets:    t.resets,
@@ -400,7 +398,7 @@ func (t *ITTAGE) TableStats() []table.Stats {
 		{
 			Kind:      "ittage-banks",
 			Capacity:  capBanks,
-			Occupancy: float64(occBanks) / float64(capBanks),
+			Occupancy: float64(t.occupied[1]) / float64(capBanks),
 			Inserts:   t.inserts[1],
 			Evictions: t.evictions[1],
 			Resets:    t.resets,
@@ -430,5 +428,6 @@ func (t *ITTAGE) Reset() {
 	}
 	t.rng = ittageSeed
 	t.resets++
+	t.occupied = [2]int{}
 	t.att = AttribState{}
 }

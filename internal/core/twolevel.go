@@ -125,7 +125,7 @@ func (cfg Config) Validate() error {
 		if cfg.Entries <= 0 || cfg.Entries&(cfg.Entries-1) != 0 {
 			return fmt.Errorf("core: table %q needs a power-of-two entry count, got %d", cfg.TableKind, cfg.Entries)
 		}
-		if _, err := table.New(cfg.TableKind, cfg.Entries); err != nil {
+		if _, err := table.Check(cfg.TableKind, cfg.Entries); err != nil {
 			return err
 		}
 	}

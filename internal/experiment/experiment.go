@@ -333,8 +333,16 @@ dispatch:
 // SweepSpec describes one predictor lane of a batched sweep.
 type SweepSpec struct {
 	// Mk constructs the lane's predictor; it must return a fresh instance
-	// per call (required).
+	// per call. Required unless Comps is set.
 	Mk func() (core.Predictor, error)
+	// Comps, when set, makes the lane a core.NewTwoLevelHybrid over these
+	// component configurations instead of Mk's predictor. Lanes of one
+	// batched pass whose Comps name the same (defaulted) configuration
+	// share one component, which the engine steps once per branch (see
+	// sim.RunBatchEach), provided they agree on Warmup and FlushEvery and
+	// have neither a shadow nor an event sink; other lanes get private
+	// components.
+	Comps []core.Config
 	// MkShadow, when non-nil, constructs the lane's unbounded shadow twin
 	// for capacity-miss attribution. A factory rather than an instance:
 	// every benchmark cell needs its own shadow, and a shadow must never
@@ -345,11 +353,146 @@ type SweepSpec struct {
 	Opts sim.Options
 }
 
-// sweepChunk is how many configuration lanes share one batched trace pass.
-// Each sweep cell is (benchmark × chunk): small enough to keep cell failures
-// contained and memory bounded, large enough to amortize the per-pass trace
-// walk across many configurations.
+// shareKey identifies a component that lanes of one pass may share.
+type shareKey struct {
+	cfg           core.Config
+	warmup, flush int
+}
+
+// shareKeys returns the keys of the lane's components when it may share
+// them, or nil when the lane steps its predictor privately.
+func (s SweepSpec) shareKeys() []shareKey {
+	if len(s.Comps) == 0 || s.MkShadow != nil || s.Opts.Events != nil {
+		return nil
+	}
+	keys := make([]shareKey, len(s.Comps))
+	for i, cfg := range s.Comps {
+		keys[i] = shareKey{cfg.Defaults(), s.Opts.Warmup, s.Opts.FlushEvery}
+	}
+	return keys
+}
+
+// sweepChunk is how many distinct stepped predictors share one batched
+// trace pass: a private lane counts one, a component shared by several
+// lanes counts once. Each sweep cell is (benchmark × chunk): small enough to
+// keep cell failures contained and memory bounded, large enough to amortize
+// the per-pass trace walk across many configurations.
 const sweepChunk = 16
+
+// planChunks assigns the specs to chunks, returning each chunk's spec
+// indices. Lanes linked by shared components form a group that stays in one
+// chunk when it fits, so each component is stepped once per pass; groups
+// (a private lane is a group of one) are placed first-fit in spec order, and
+// a group too large for one chunk is split in spec order.
+func planChunks(specs []SweepSpec) [][]int {
+	// Union lanes that share a component key.
+	parent := make([]int, len(specs))
+	for i := range parent {
+		parent[i] = i
+	}
+	find := func(i int) int {
+		for parent[i] != i {
+			parent[i] = parent[parent[i]]
+			i = parent[i]
+		}
+		return i
+	}
+	keys := make([][]shareKey, len(specs))
+	owner := make(map[shareKey]int)
+	for i, s := range specs {
+		keys[i] = s.shareKeys()
+		for _, k := range keys[i] {
+			if j, ok := owner[k]; ok {
+				parent[find(i)] = find(j)
+			} else {
+				owner[k] = i
+			}
+		}
+	}
+	var groups [][]int
+	groupOf := make(map[int]int)
+	for i := range specs {
+		r := find(i)
+		g, ok := groupOf[r]
+		if !ok {
+			g = len(groups)
+			groupOf[r] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], i)
+	}
+
+	type chunk struct {
+		lanes []int
+		keys  map[shareKey]bool
+		cost  int
+	}
+	var chunks []*chunk
+	// cost is what lane i adds to c: its components not yet in c, or one
+	// for a private lane.
+	cost := func(c *chunk, i int) int {
+		if keys[i] == nil {
+			return 1
+		}
+		n := 0
+		seen := make(map[shareKey]bool, len(keys[i]))
+		for _, k := range keys[i] {
+			if !c.keys[k] && !seen[k] {
+				seen[k] = true
+				n++
+			}
+		}
+		return n
+	}
+	add := func(c *chunk, i int) {
+		c.cost += cost(c, i)
+		for _, k := range keys[i] {
+			c.keys[k] = true
+		}
+		c.lanes = append(c.lanes, i)
+	}
+	open := func() *chunk {
+		c := &chunk{keys: make(map[shareKey]bool)}
+		chunks = append(chunks, c)
+		return c
+	}
+	for _, g := range groups {
+		need := 0
+		probe := &chunk{keys: make(map[shareKey]bool)}
+		for _, i := range g {
+			need += cost(probe, i)
+			add(probe, i)
+		}
+		if need > sweepChunk {
+			c := open()
+			for _, i := range g {
+				if len(c.lanes) > 0 && c.cost+cost(c, i) > sweepChunk {
+					c = open()
+				}
+				add(c, i)
+			}
+			continue
+		}
+		var dst *chunk
+		for _, c := range chunks {
+			if c.cost+need <= sweepChunk {
+				dst = c
+				break
+			}
+		}
+		if dst == nil {
+			dst = open()
+		}
+		for _, i := range g {
+			add(dst, i)
+		}
+	}
+	out := make([][]int, len(chunks))
+	for i, c := range chunks {
+		out[i] = c.lanes
+	}
+	return out
+}
 
 // laneCache keeps one worker's predictors alive between cells of the same
 // chunk: consecutive cells differ only in the benchmark, so resetting the
@@ -364,6 +507,10 @@ type laneCache struct {
 	resettable bool
 	ps         []core.Predictor
 	shadows    []core.Predictor
+	// stepped is every distinct predictor the chunk steps: each shared
+	// component once, each other lane's predictor and each shadow. Reset
+	// goes through it, so a shared component is reset once.
+	stepped []core.Predictor
 }
 
 // lanes returns predictors (and per-lane shadows) for the chunk's specs,
@@ -371,13 +518,8 @@ type laneCache struct {
 func (lc *laneCache) lanes(chunk int, specs []SweepSpec, sm sweepMetrics) (ps, shadows []core.Predictor, err error) {
 	if lc.valid && lc.resettable && lc.chunk == chunk {
 		sm.laneHits.Inc()
-		for _, p := range lc.ps {
+		for _, p := range lc.stepped {
 			p.(core.Resetter).Reset()
-		}
-		for _, s := range lc.shadows {
-			if s != nil {
-				s.(core.Resetter).Reset()
-			}
 		}
 		return lc.ps, lc.shadows, nil
 	}
@@ -385,40 +527,63 @@ func (lc *laneCache) lanes(chunk int, specs []SweepSpec, sm sweepMetrics) (ps, s
 	lc.valid = false
 	ps = make([]core.Predictor, len(specs))
 	shadows = make([]core.Predictor, len(specs))
-	resettable := true
+	var stepped []core.Predictor
+	shared := make(map[shareKey]*core.TwoLevel)
 	for i, s := range specs {
 		if s.Opts.Shadow != nil {
 			return nil, nil, errors.New("experiment: SweepSpec.Opts.Shadow must be nil; use MkShadow")
 		}
-		p, err := s.Mk()
-		if err != nil {
-			return nil, nil, err
-		}
-		ps[i] = p
-		if _, ok := p.(core.Resetter); !ok {
-			resettable = false
-		}
-		if s.MkShadow != nil {
-			sh, err := s.MkShadow()
+		if keys := s.shareKeys(); keys != nil {
+			comps := make([]core.Component, len(keys))
+			for j, k := range keys {
+				c := shared[k]
+				if c == nil {
+					if c, err = core.NewTwoLevel(k.cfg); err != nil {
+						return nil, nil, err
+					}
+					shared[k] = c
+					stepped = append(stepped, c)
+				}
+				comps[j] = c
+			}
+			if ps[i], err = core.NewHybrid(comps...); err != nil {
+				return nil, nil, err
+			}
+		} else {
+			if len(s.Comps) > 0 {
+				ps[i], err = core.NewTwoLevelHybrid(s.Comps...)
+			} else {
+				ps[i], err = s.Mk()
+			}
 			if err != nil {
 				return nil, nil, err
 			}
-			shadows[i] = sh
-			if _, ok := sh.(core.Resetter); !ok {
-				resettable = false
+			stepped = append(stepped, ps[i])
+		}
+		if s.MkShadow != nil {
+			if shadows[i], err = s.MkShadow(); err != nil {
+				return nil, nil, err
 			}
+			stepped = append(stepped, shadows[i])
 		}
 	}
-	lc.chunk, lc.ps, lc.shadows = chunk, ps, shadows
+	resettable := true
+	for _, p := range stepped {
+		if _, ok := p.(core.Resetter); !ok {
+			resettable = false
+		}
+	}
+	lc.chunk, lc.ps, lc.shadows, lc.stepped = chunk, ps, shadows, stepped
 	lc.resettable, lc.valid = resettable, true
 	return ps, shadows, nil
 }
 
 // SweepSpecs runs every spec over every benchmark and returns
-// res[spec][benchmark]. The specs are split into chunks of sweepChunk lanes;
-// each (benchmark × chunk) cell is one panic-isolated unit of the worker
-// pool, inside which sim.RunBatchEach drives the chunk's predictors over the
-// benchmark's trace in a single pass. full selects complete traces
+// res[spec][benchmark]. The specs are split into chunks of at most
+// sweepChunk stepped predictors (see planChunks); each (benchmark × chunk)
+// cell is one panic-isolated unit of the worker pool, inside which
+// sim.RunBatchEach drives the chunk's predictors over the benchmark's trace
+// in a single pass. full selects complete traces
 // (conditional records included) instead of indirect-only ones.
 //
 // Failure handling follows Sweep's contract: predictor construction errors
@@ -434,7 +599,8 @@ func (c *Context) SweepSpecs(specs []SweepSpec, full bool) ([]map[string]sim.Res
 		return out, nil
 	}
 	nb := len(c.Suite)
-	chunks := (len(specs) + sweepChunk - 1) / sweepChunk
+	plan := planChunks(specs)
+	chunks := len(plan)
 	sm := newSweepMetrics(telemetry.Default())
 	c.prog.begin(nb*chunks, time.Now())
 	sm.queued.Add(uint64(nb * chunks))
@@ -444,12 +610,11 @@ func (c *Context) SweepSpecs(specs []SweepSpec, full bool) ([]map[string]sim.Res
 	// chunk and its laneCache keeps hitting.
 	err := forEach(c.ctx, nb*chunks, func(ci int) error {
 		chunk, bench := ci/nb, c.Suite[ci%nb]
-		lo := chunk * sweepChunk
-		hi := lo + sweepChunk
-		if hi > len(specs) {
-			hi = len(specs)
+		idx := plan[chunk]
+		sub := make([]SweepSpec, len(idx))
+		for i, j := range idx {
+			sub[i] = specs[j]
 		}
-		sub := specs[lo:hi]
 		cache := pool.Get().(*laneCache)
 		defer pool.Put(cache)
 		sm.running.Add(1)
@@ -494,14 +659,14 @@ func (c *Context) SweepSpecs(specs []SweepSpec, full bool) ([]map[string]sim.Res
 				cache.valid = false // panicked lanes may violate Reset invariants
 				for _, le := range be.Lanes {
 					dead[le.Lane] = true
-					c.recordFailure(bench.Name, fmt.Errorf("config %d: %w", lo+le.Lane, le.Err))
+					c.recordFailure(bench.Name, fmt.Errorf("config %d: %w", idx[le.Lane], le.Err))
 				}
 			}
 			var executed, missed uint64
 			mu.Lock()
 			for i, r := range rs {
 				if !dead[i] {
-					out[lo+i][bench.Name] = r
+					out[idx[i]][bench.Name] = r
 					executed += uint64(r.Executed)
 					missed += uint64(r.Misses)
 				}
@@ -544,6 +709,11 @@ func (c *Context) SweepBatch(mks []func() (core.Predictor, error)) ([]map[string
 	for i, mk := range mks {
 		specs[i] = SweepSpec{Mk: mk}
 	}
+	return c.sweepRates(specs)
+}
+
+// sweepRates is SweepBatch over lane specs.
+func (c *Context) sweepRates(specs []SweepSpec) ([]map[string]float64, error) {
 	res, err := c.SweepSpecs(specs, false)
 	return rateMaps(res), err
 }
@@ -559,24 +729,29 @@ func (c *Context) SweepBatchFull(mks []func() (core.Predictor, error)) ([]map[st
 	return rateMaps(res), err
 }
 
-func configMks(cfgs []core.Config) []func() (core.Predictor, error) {
-	mks := make([]func() (core.Predictor, error), len(cfgs))
+// twoLevelSpec is a lane running a two-level predictor.
+func twoLevelSpec(cfg core.Config) SweepSpec {
+	return SweepSpec{Mk: func() (core.Predictor, error) { return core.NewTwoLevel(cfg) }}
+}
+
+func configSpecs(cfgs []core.Config) []SweepSpec {
+	specs := make([]SweepSpec, len(cfgs))
 	for i, cfg := range cfgs {
-		cfg := cfg
-		mks[i] = func() (core.Predictor, error) { return core.NewTwoLevel(cfg) }
+		specs[i] = twoLevelSpec(cfg)
 	}
-	return mks
+	return specs
 }
 
 // SweepConfigs is SweepBatch over two-level predictor configurations.
 func (c *Context) SweepConfigs(cfgs []core.Config) ([]map[string]float64, error) {
-	return c.SweepBatch(configMks(cfgs))
+	return c.sweepRates(configSpecs(cfgs))
 }
 
 // SweepConfigsFull is SweepConfigs over complete traces (conditional records
 // included).
 func (c *Context) SweepConfigsFull(cfgs []core.Config) ([]map[string]float64, error) {
-	return c.SweepBatchFull(configMks(cfgs))
+	res, err := c.SweepSpecs(configSpecs(cfgs), true)
+	return rateMaps(res), err
 }
 
 // Sweep simulates one predictor per benchmark (constructed by mk, which must

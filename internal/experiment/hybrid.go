@@ -67,17 +67,13 @@ func init() {
 	})
 }
 
-// hybridMk constructs dual-path hybrids for batched sweeps.
-func hybridMk(p1, p2 int, kind string, componentEntries int) func() (core.Predictor, error) {
-	return func() (core.Predictor, error) {
-		return core.NewDualPath(p1, p2, kind, componentEntries)
-	}
-}
-
-// hybridRates runs a dual-path hybrid over the suite and returns per-benchmark
-// rates.
-func (c *Context) hybridRates(p1, p2 int, kind string, componentEntries int) (map[string]float64, error) {
-	return c.Sweep(hybridMk(p1, p2, kind, componentEntries))
+// hybridSpec is a dual-path hybrid lane (core.NewDualPath) whose components
+// a batched sweep may share with other lanes.
+func hybridSpec(p1, p2 int, kind string, componentEntries int) SweepSpec {
+	return SweepSpec{Comps: []core.Config{
+		core.DualPathComponent(p1, kind, componentEntries),
+		core.DualPathComponent(p2, kind, componentEntries),
+	}}
 }
 
 func runFig17(ctx *Context) ([]*stats.Table, error) {
@@ -86,26 +82,24 @@ func runFig17(ctx *Context) ([]*stats.Table, error) {
 		t := stats.NewTable(
 			fmt.Sprintf("Figure 17: AVG prediction hit rates, hybrid assoc4, component size %d", compSize),
 			"p1")
-		// The whole path-length combination matrix runs as one batch.
+		// The whole path-length combination matrix runs as one batch, its
+		// hybrids sharing the 13 components.
 		type cell struct{ p1, p2 int }
 		var cells []cell
-		var mks []func() (core.Predictor, error)
+		var specs []SweepSpec
 		for p1 := 0; p1 <= 12; p1++ {
 			for p2 := 0; p2 <= p1; p2++ {
 				cells = append(cells, cell{p1, p2})
 				if p1 == p2 {
 					// Diagonal: the paper shows the non-hybrid
 					// predictor of twice the component size.
-					cfg := boundedConfig(p1, bits.Reverse, "assoc4", 2*compSize)
-					mks = append(mks, func() (core.Predictor, error) {
-						return core.NewTwoLevel(cfg)
-					})
+					specs = append(specs, twoLevelSpec(boundedConfig(p1, bits.Reverse, "assoc4", 2*compSize)))
 				} else {
-					mks = append(mks, hybridMk(p1, p2, "assoc4", compSize))
+					specs = append(specs, hybridSpec(p1, p2, "assoc4", compSize))
 				}
 			}
 		}
-		rates, err := ctx.SweepBatch(mks)
+		rates, err := ctx.sweepRates(specs)
 		if err != nil {
 			return nil, err
 		}
@@ -197,7 +191,7 @@ func (c *Context) computeAppendix(a *appendix) error {
 		p1, p2 int
 	}
 	var cands []candidate
-	var mks []func() (core.Predictor, error)
+	var specs []SweepSpec
 	for _, size := range appendixSizes {
 		for _, fam := range nonHybridFamilies {
 			maxP := 8
@@ -205,11 +199,8 @@ func (c *Context) computeAppendix(a *appendix) error {
 				maxP = 0
 			}
 			for p := 0; p <= maxP; p++ {
-				cfg := boundedConfig(p, bits.Reverse, fam.kind, size)
 				cands = append(cands, candidate{fam.family, size, p, -1})
-				mks = append(mks, func() (core.Predictor, error) {
-					return core.NewTwoLevel(cfg)
-				})
+				specs = append(specs, twoLevelSpec(boundedConfig(p, bits.Reverse, fam.kind, size)))
 			}
 		}
 		for _, fam := range hybridFamilies {
@@ -219,11 +210,11 @@ func (c *Context) computeAppendix(a *appendix) error {
 			}
 			for _, pair := range hybridPairs() {
 				cands = append(cands, candidate{fam.family, size, pair[0], pair[1]})
-				mks = append(mks, hybridMk(pair[0], pair[1], fam.kind, comp))
+				specs = append(specs, hybridSpec(pair[0], pair[1], fam.kind, comp))
 			}
 		}
 	}
-	rates, err := c.SweepBatch(mks)
+	rates, err := c.sweepRates(specs)
 	if err != nil {
 		return err
 	}
@@ -305,14 +296,14 @@ func runAppendix(ctx *Context) ([]*stats.Table, error) {
 // variants per budget column, as used by the §6–§8 comparison experiments —
 // and fills the table with AVG rates.
 func pairSweep(ctx *Context, t *stats.Table, sizes []int,
-	rows [2]string, mk func(which, size int) func() (core.Predictor, error)) ([]*stats.Table, error) {
-	var mks []func() (core.Predictor, error)
+	rows [2]string, spec func(which, size int) SweepSpec) ([]*stats.Table, error) {
+	var specs []SweepSpec
 	for _, size := range sizes {
 		for which := 0; which < 2; which++ {
-			mks = append(mks, mk(which, size))
+			specs = append(specs, spec(which, size))
 		}
 	}
-	rates, err := ctx.SweepBatch(mks)
+	rates, err := ctx.sweepRates(specs)
 	if err != nil {
 		return nil, err
 	}
@@ -329,12 +320,12 @@ func pairSweep(ctx *Context, t *stats.Table, sizes []int,
 func runAblMeta(ctx *Context) ([]*stats.Table, error) {
 	t := stats.NewTable("§6.1 ablation: metaprediction (AVG, hybrid p=3.1 assoc4)", "selector")
 	return pairSweep(ctx, t, []int{512, 2048, 8192}, [2]string{"confidence", "bpst"},
-		func(which, size int) func() (core.Predictor, error) {
+		func(which, size int) SweepSpec {
 			comp := size / 2
 			if which == 0 {
-				return hybridMk(1, 3, "assoc4", comp)
+				return hybridSpec(1, 3, "assoc4", comp)
 			}
-			return func() (core.Predictor, error) {
+			return SweepSpec{Mk: func() (core.Predictor, error) {
 				mk := func(p int) (*core.TwoLevel, error) {
 					return core.NewTwoLevel(boundedConfig(p, bits.Reverse, "assoc4", comp))
 				}
@@ -347,56 +338,50 @@ func runAblMeta(ctx *Context) ([]*stats.Table, error) {
 					return nil, err
 				}
 				return core.NewBPSTHybrid(a, b, 1024)
-			}
+			}}
 		})
 }
 
 func runExtPPM(ctx *Context) ([]*stats.Table, error) {
 	t := stats.NewTable("§7 extension: PPM cascade vs confidence hybrid (AVG, p=3&1)", "predictor")
 	return pairSweep(ctx, t, []int{512, 2048, 8192}, [2]string{"hybrid", "ppm-cascade"},
-		func(which, size int) func() (core.Predictor, error) {
+		func(which, size int) SweepSpec {
 			comp := size / 2
 			if which == 0 {
-				return hybridMk(1, 3, "assoc4", comp)
+				return hybridSpec(1, 3, "assoc4", comp)
 			}
-			return func() (core.Predictor, error) {
+			return SweepSpec{Mk: func() (core.Predictor, error) {
 				return core.NewCascade([]int{3, 1}, "assoc4", comp)
-			}
+			}}
 		})
 }
 
 func runExtShared(ctx *Context) ([]*stats.Table, error) {
 	t := stats.NewTable("§8.1 extension: shared-table hybrid (AVG, p=3.1 assoc4)", "predictor")
 	return pairSweep(ctx, t, []int{512, 2048, 8192}, [2]string{"split-tables", "shared-table"},
-		func(which, size int) func() (core.Predictor, error) {
+		func(which, size int) SweepSpec {
 			if which == 0 {
-				return hybridMk(1, 3, "assoc4", size/2)
+				return hybridSpec(1, 3, "assoc4", size/2)
 			}
-			return func() (core.Predictor, error) {
+			return SweepSpec{Mk: func() (core.Predictor, error) {
 				return core.NewSharedHybrid(3, 1, "assoc4", size)
-			}
+			}}
 		})
 }
 
 func runExt3Comp(ctx *Context) ([]*stats.Table, error) {
 	t := stats.NewTable("§8.1 extension: three-component hybrids (AVG, assoc4)", "predictor")
 	return pairSweep(ctx, t, []int{1536, 6144, 24576}, [2]string{"two-comp(3.1)", "three-comp(7.3.1)"},
-		func(which, total int) func() (core.Predictor, error) {
+		func(which, total int) SweepSpec {
 			if which == 0 {
-				return hybridMk(1, 3, "assoc4", roundPow2(total/2))
+				return hybridSpec(1, 3, "assoc4", roundPow2(total/2))
 			}
 			comp3 := roundPow2(total / 3)
-			return func() (core.Predictor, error) {
-				comps := make([]core.Component, 0, 3)
-				for _, p := range []int{1, 3, 7} {
-					c, err := core.NewTwoLevel(boundedConfig(p, bits.Reverse, "assoc4", comp3))
-					if err != nil {
-						return nil, err
-					}
-					comps = append(comps, c)
-				}
-				return core.NewHybrid(comps...)
+			var comps []core.Config
+			for _, p := range []int{1, 3, 7} {
+				comps = append(comps, boundedConfig(p, bits.Reverse, "assoc4", comp3))
 			}
+			return SweepSpec{Comps: comps}
 		})
 }
 

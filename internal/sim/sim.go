@@ -18,6 +18,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime/debug"
 	"strings"
 	"time"
@@ -465,14 +466,26 @@ func (l *lane) SetObserver(fn func(Outcome)) { l.observe = fn }
 const blockSize = 1 << 13
 
 // RunBatchEach simulates each predictor — with its own Options — over the
-// trace in a single pass. Lanes are independent: predictors (and their
-// shadows) must not share mutable state, or the interleaved updates of one
-// lane would corrupt another; nothing else is shared between lanes.
+// trace in a single pass.
 //
-// A panic inside one lane's predictor kills that lane only: its partial
-// Result must be discarded, and the failure is reported as a LaneError
-// (wrapping *PanicError) inside a *BatchError. Lanes absent from the
-// BatchError completed normally and their Results are valid.
+// Lanes may share hybrid components: when *core.Hybrid lanes hold the same
+// component by pointer, the engine steps that component once per branch
+// (PredictConf then Update, with a FlushEvery reset where the lanes' runs
+// would have one) and records its votes; each such lane then arbitrates
+// over its components' votes with core.Ballot, as Hybrid.Predict does, and
+// accounts for the branch in its own loop. The results equal those of
+// private components. Lanes sharing a component must agree on FlushEvery
+// and carry no Options.Events sink (event attribution reads the hybrid's
+// own Predict), and no lane's predictor may itself be a shared component;
+// RunBatchEach rejects such batches. Everything else stays lane-private:
+// predictors and shadows must not otherwise share mutable state, or the
+// interleaved updates of one lane would corrupt another.
+//
+// A panic inside one lane's predictor kills that lane only, and a panic
+// inside a shared component kills exactly the lanes holding it: their
+// partial Results must be discarded, and each failure is reported as a
+// LaneError (wrapping *PanicError) inside a *BatchError. Lanes absent from
+// the BatchError completed normally and their Results are valid.
 //
 // Cancellation is checked between blocks of records; once ctx is done the
 // partial results accumulated so far are returned with an error satisfying
@@ -495,10 +508,25 @@ func RunBatchEach(ctx context.Context, ps []core.Predictor, tr trace.Trace, opts
 			sinks[o.Events] = i
 		}
 	}
+	cols, laneCols, err := shareComponents(ps, opts, min(blockSize, len(tr)))
+	if err != nil {
+		return nil, err
+	}
 	m := newRunMetrics(telemetry.Default())
 	lanes := make([]lane, len(ps))
+	var ballots []*ballot
 	for i := range lanes {
 		lanes[i].init(ps[i], opts[i], m)
+		if laneCols[i] != nil {
+			// The lane arbitrates over its columns' votes; the columns
+			// step (and flush) the components.
+			b := &ballot{}
+			for _, c := range laneCols[i] {
+				b.votes = append(b.votes, cols[c].votes)
+			}
+			lanes[i].p, lanes[i].resetter = b, nil
+			ballots = append(ballots, b)
+		}
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -518,6 +546,25 @@ func RunBatchEach(ctx context.Context, ps []core.Predictor, tr trace.Trace, opts
 			end = len(tr)
 		}
 		block := tr[base:end]
+		for _, b := range ballots {
+			b.k = 0
+		}
+		for _, c := range cols {
+			if c.err != nil || !c.held(lanes) {
+				continue
+			}
+			if c.step(block); c.err != nil {
+				for _, u := range c.users {
+					if l := &lanes[u]; l.err == nil {
+						l.err = c.err
+						live--
+						if m != nil {
+							m.panics.Inc()
+						}
+					}
+				}
+			}
+		}
 		for i := range lanes {
 			if l := &lanes[i]; l.err == nil {
 				l.step(block, m)
@@ -528,6 +575,156 @@ func RunBatchEach(ctx context.Context, ps []core.Predictor, tr trace.Trace, opts
 		}
 	}
 	return collect(lanes, nil, m)
+}
+
+// column is one hybrid component shared by lanes of a batch. The engine
+// steps it once per branch of a block and keeps its votes for the lanes
+// holding it to read.
+type column struct {
+	c        core.Component
+	resetter core.Resetter
+	flush    int // the FlushEvery of every lane holding it
+	seen     int
+	votes    []core.Vote // one per indirect branch of the current block
+	users    []int       // the lanes holding it
+	err      error       // non-nil once the component panicked
+}
+
+// held reports whether a live lane still reads the column.
+func (c *column) held(lanes []lane) bool {
+	for _, u := range c.users {
+		if lanes[u].err == nil {
+			return true
+		}
+	}
+	return false
+}
+
+// step advances the component over one block, recording a vote per indirect
+// branch. Conditional records are skipped: a Hybrid hands its components
+// none. A panic marks the column failed.
+func (c *column) step(block []trace.Record) {
+	seen := c.seen
+	defer func() {
+		c.seen = seen
+		if r := recover(); r != nil {
+			c.err = &PanicError{Val: r, Stack: debug.Stack()}
+		}
+	}()
+	k := 0
+	for _, r := range block {
+		if !r.Kind.Indirect() {
+			continue
+		}
+		if c.flush > 0 && seen > 0 && seen%c.flush == 0 && c.resetter != nil {
+			c.resetter.Reset()
+		}
+		t, conf, ok := c.c.PredictConf(r.PC)
+		c.c.Update(r.PC, r.Target)
+		c.votes[k] = core.Vote{Target: t, Conf: conf, OK: ok}
+		k++
+		seen++
+	}
+}
+
+// ballot stands in for the hybrid of a lane whose components the batch
+// shares: its Predict arbitrates over the components' votes for the
+// block's current branch, as Hybrid.Predict would, and Update moves to the
+// next branch.
+type ballot struct {
+	votes [][]core.Vote // per component, in tie-break order
+	k     int           // the branch's index within the block
+}
+
+func (b *ballot) Predict(uint32) (uint32, bool) {
+	bl := core.NewBallot()
+	for i, v := range b.votes {
+		bl.Offer(i, v[b.k])
+	}
+	return bl.Target, bl.OK()
+}
+
+func (b *ballot) Update(uint32, uint32) { b.k++ }
+
+func (b *ballot) Name() string { return "ballot" }
+
+// shareComponents finds the hybrid components that more than one lane holds
+// by pointer. It returns a column, with room for a block of the given
+// length, for every component of every lane holding a shared one, and for
+// each lane the indices of its columns in tie-break order (nil for a lane
+// that steps its predictor itself).
+func shareComponents(ps []core.Predictor, opts []Options, block int) ([]*column, [][]int, error) {
+	laneCols := make([][]int, len(ps))
+	if len(ps) < 2 {
+		return nil, laneCols, nil
+	}
+	holders := make(map[core.Component][]int)
+	for i, p := range ps {
+		h, ok := p.(*core.Hybrid)
+		if !ok {
+			continue
+		}
+		for _, c := range h.Components() {
+			if !isPointer(c) {
+				continue
+			}
+			if hs := holders[c]; len(hs) == 0 || hs[len(hs)-1] != i {
+				holders[c] = append(hs, i)
+			}
+		}
+	}
+	var cols []*column
+	index := make(map[core.Component]int)
+	for i, p := range ps {
+		h, ok := p.(*core.Hybrid)
+		if !ok || !holdsShared(h, holders) {
+			continue
+		}
+		if opts[i].Events != nil {
+			return nil, nil, fmt.Errorf("sim: lane %d shares hybrid components but has an Options.Events sink; event attribution needs private components", i)
+		}
+		for _, c := range h.Components() {
+			j, ok := index[c]
+			if !ok {
+				j = len(cols)
+				index[c] = j
+				rst, _ := c.(core.Resetter)
+				cols = append(cols, &column{c: c, resetter: rst, flush: opts[i].FlushEvery,
+					votes: make([]core.Vote, block)})
+			}
+			col := cols[j]
+			if col.flush != opts[i].FlushEvery {
+				return nil, nil, fmt.Errorf("sim: lanes %d and %d share a hybrid component but differ in FlushEvery (%d, %d)",
+					col.users[0], i, col.flush, opts[i].FlushEvery)
+			}
+			col.users = append(col.users, i)
+			laneCols[i] = append(laneCols[i], j)
+		}
+	}
+	for i, p := range ps {
+		if c, ok := p.(core.Component); ok && isPointer(c) {
+			if j, shared := index[c]; shared {
+				return nil, nil, fmt.Errorf("sim: lane %d's predictor is also a shared hybrid component of lane %d", i, cols[j].users[0])
+			}
+		}
+	}
+	return cols, laneCols, nil
+}
+
+// holdsShared reports whether h holds a component that another lane holds.
+func holdsShared(h *core.Hybrid, holders map[core.Component][]int) bool {
+	for _, c := range h.Components() {
+		if isPointer(c) && len(holders[c]) > 1 {
+			return true
+		}
+	}
+	return false
+}
+
+// isPointer reports whether c is a pointer, the only kind of component whose
+// identity the engine can share.
+func isPointer(c core.Component) bool {
+	return reflect.ValueOf(c).Kind() == reflect.Pointer
 }
 
 // collect gathers per-lane results and folds lane failures (and an optional

@@ -8,7 +8,6 @@ package table
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 )
 
@@ -166,10 +165,9 @@ type Bounded interface {
 	Kind() string
 	// Stats returns the table's behaviour counters and current occupancy.
 	Stats() Stats
-	// Counts returns the raw insert/eviction/reset counters without
-	// computing occupancy. Unlike Stats — which walks the slot array for
-	// utilization — it is cheap enough for per-branch use: the attribution
-	// layer reads it around an update to detect whether the insert evicted.
+	// Counts returns the raw insert/eviction/reset counters alone, cheap
+	// enough for per-branch use: the attribution layer reads it around an
+	// update to detect whether the insert evicted.
 	Counts() (inserts, evictions, resets uint64)
 }
 
@@ -190,9 +188,12 @@ type Tagless struct {
 }
 
 // counters is the shared insert/eviction/reset accounting embedded in every
-// table organization.
+// table organization. The dense organizations (Tagless, SetAssoc) also keep
+// live, their count of current-generation valid slots, so occupancy is O(1):
+// it rises when an insert claims a dead slot and is zeroed by Reset.
 type counters struct {
 	inserts, evictions, resets uint64
+	live                       int
 }
 
 // counts returns the raw counter values; the Counts methods of the table
@@ -222,7 +223,9 @@ func (t *Tagless) Probe(key uint64) *Entry {
 func (t *Tagless) Insert(key uint64) *Entry {
 	e := &t.slots[key&t.mask]
 	t.stats.inserts++
-	if e.valid && e.gen == t.gen && e.key != key {
+	if !e.valid || e.gen != t.gen {
+		t.stats.live++
+	} else if e.key != key {
 		t.stats.evictions++
 	}
 	e.reset(key)
@@ -239,6 +242,7 @@ func (t *Tagless) ProbeOrInsert(key uint64) (*Entry, bool) {
 	e.reset(key)
 	e.gen = t.gen
 	t.stats.inserts++
+	t.stats.live++
 	return e, false
 }
 
@@ -255,7 +259,7 @@ func (t *Tagless) Victim(key uint64) *Entry {
 func (t *Tagless) Capacity() int { return len(t.slots) }
 
 // Utilization implements Bounded.
-func (t *Tagless) Utilization() float64 { return utilization(t.slots, t.gen) }
+func (t *Tagless) Utilization() float64 { return float64(t.stats.live) / float64(len(t.slots)) }
 
 // Reset implements Bounded in O(1): bumping the generation makes every
 // current entry read as invalid without touching the slot array. Flush-heavy
@@ -265,6 +269,7 @@ func (t *Tagless) Utilization() float64 { return utilization(t.slots, t.gen) }
 func (t *Tagless) Reset() {
 	t.gen++
 	t.stats.resets++
+	t.stats.live = 0
 	if t.gen == 0 {
 		clear(t.slots)
 	}
@@ -348,6 +353,8 @@ func (t *SetAssoc) Insert(key uint64) *Entry {
 	t.stats.inserts++
 	if victim.valid && victim.gen == t.gen {
 		t.stats.evictions++
+	} else {
+		t.stats.live++
 	}
 	copy(set[1:], set[:t.ways-1])
 	set[0] = victim
@@ -375,6 +382,8 @@ func (t *SetAssoc) ProbeOrInsert(key uint64) (*Entry, bool) {
 	t.stats.inserts++
 	if victim.valid && victim.gen == t.gen {
 		t.stats.evictions++
+	} else {
+		t.stats.live++
 	}
 	copy(set[1:], set[:t.ways-1])
 	set[0] = victim
@@ -397,12 +406,13 @@ func (t *SetAssoc) Victim(key uint64) *Entry {
 func (t *SetAssoc) Capacity() int { return len(t.slots) }
 
 // Utilization implements Bounded.
-func (t *SetAssoc) Utilization() float64 { return utilization(t.slots, t.gen) }
+func (t *SetAssoc) Utilization() float64 { return float64(t.stats.live) / float64(len(t.slots)) }
 
 // Reset implements Bounded in O(1) by generation bump (see Tagless.Reset).
 func (t *SetAssoc) Reset() {
 	t.gen++
 	t.stats.resets++
+	t.stats.live = 0
 	if t.gen == 0 {
 		clear(t.slots)
 	}
@@ -713,23 +723,14 @@ func (t *UnboundedStr) Stats() Stats {
 	}
 }
 
-func utilization(slots []Entry, gen uint32) float64 {
-	if len(slots) == 0 {
-		return math.NaN()
-	}
-	n := 0
-	for i := range slots {
-		if slots[i].valid && slots[i].gen == gen {
-			n++
-		}
-	}
-	return float64(n) / float64(len(slots))
-}
-
 // New returns a Bounded table of the named organization: "tagless",
 // "assoc1", "assoc2", "assoc4" (or any assoc<2^k>), "fullassoc", or
 // "unbounded". It is the string form accepted by the CLI tools.
 func New(kind string, entries int) (Bounded, error) {
+	ways, err := Check(kind, entries)
+	if err != nil {
+		return nil, err
+	}
 	switch kind {
 	case "tagless":
 		return NewTagless(entries), nil
@@ -738,12 +739,23 @@ func New(kind string, entries int) (Bounded, error) {
 	case "unbounded":
 		return NewUnbounded64(), nil
 	}
-	var ways int
+	return NewSetAssoc(entries, ways), nil
+}
+
+// Check reports the error New(kind, entries) would return, without
+// allocating the table; for a set-associative kind it also returns the
+// associativity. Like New, it leaves entry-count checks that New turns into
+// panics to the caller.
+func Check(kind string, entries int) (ways int, err error) {
+	switch kind {
+	case "tagless", "fullassoc", "unbounded":
+		return 0, nil
+	}
 	if _, err := fmt.Sscanf(kind, "assoc%d", &ways); err == nil && ways > 0 {
 		if ways&(ways-1) != 0 || ways > entries {
-			return nil, fmt.Errorf("table: invalid associativity %d for %d entries", ways, entries)
+			return 0, fmt.Errorf("table: invalid associativity %d for %d entries", ways, entries)
 		}
-		return NewSetAssoc(entries, ways), nil
+		return ways, nil
 	}
-	return nil, fmt.Errorf("table: unknown kind %q", kind)
+	return 0, fmt.Errorf("table: unknown kind %q", kind)
 }
